@@ -12,7 +12,6 @@
 #define SHRIMP_APPS_MAILBOX_HH
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "core/vmmc.hh"
@@ -50,7 +49,6 @@ class Mailbox
         std::size_t stride = slotStride();
         r.inbox = static_cast<char *>(
             mem.alloc(stride * std::size_t(nprocs), true));
-        std::memset(r.inbox, 0, stride * std::size_t(nprocs));
         r.exp = ep.exportBuffer(r.inbox, stride * std::size_t(nprocs));
         ready[rank] = true;
 

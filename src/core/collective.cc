@@ -37,7 +37,6 @@ Collective::init(int rank)
                 node::kPageBytes;
     }
     r.page = static_cast<char *>(ep.node().mem().alloc(bytes, true));
-    std::fill(r.page, r.page + bytes, 0);
     exported[rank] = ep.exportBuffer(r.page, bytes);
     ready[rank] = true;
 

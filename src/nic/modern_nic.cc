@@ -28,7 +28,8 @@ void
 ModernNic::post(const SendDesc &req)
 {
     auto &cpu = _node.cpu();
-    const auto &entry = _opt.proxy(req.proxy);
+    // A copy: imports during the queue-full wait below may grow the OPT.
+    const OptEntry entry = _opt.proxy(req.proxy);
 
     if (req.dstOffset + req.bytes > node::kPageBytes)
         panic("transfer crosses destination page boundary");

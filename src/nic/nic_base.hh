@@ -249,14 +249,22 @@ class NicBase
     // Mapping setup (driven by the VMMC system layer)
     // ------------------------------------------------------------------
 
-    /** Allocate an OPT entry for an imported (proxy) page. */
+    /**
+     * Allocate OPT entries for @p pages imported (proxy) pages mapping
+     * to consecutive frames from @p dst_frame.
+     * @return the first page's index; page i has index first + i.
+     */
     OptIndex
-    importPage(NodeId dst_node, node::Frame dst_frame)
+    importPage(NodeId dst_node, node::Frame dst_frame,
+               std::size_t pages = 1)
     {
-        return _opt.allocate(dst_node, dst_frame);
+        return _opt.allocate(dst_node, dst_frame, pages);
     }
 
-    /** Tear down a proxy page mapping; later transfers fault. */
+    /**
+     * Tear down the proxy mapping holding @p idx, every page of its
+     * import; later transfers fault.
+     */
     void invalidateProxy(OptIndex idx) { _opt.invalidate(idx); }
 
     /** Receiver-side interrupt enable bit for an exported page. */

@@ -14,6 +14,7 @@
 #ifndef SHRIMP_NIC_PAGE_TABLES_HH
 #define SHRIMP_NIC_PAGE_TABLES_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -47,42 +48,60 @@ struct OptEntry
 
 /**
  * Outgoing page table.
+ *
+ * Each import allocates consecutive proxy indices that map to
+ * consecutive destination frames on one node, and indices are never
+ * reused. The host therefore stores one run per import rather than
+ * one entry per page; the simulated NIC still sees a per-page table.
  */
 class OutgoingPageTable
 {
   public:
-    /** Allocate an entry for an imported proxy page. */
+    /**
+     * Allocate @p pages entries for an imported proxy buffer. Page i
+     * of the import gets index first + i and maps to @p dst_frame + i
+     * on @p dst_node.
+     * @return first, the index of the import's first page.
+     */
     OptIndex
-    allocate(NodeId dst_node, node::Frame dst_frame)
+    allocate(NodeId dst_node, node::Frame dst_frame, std::size_t pages = 1)
     {
-        proxyEntries.push_back(
-            OptEntry{dst_node, dst_frame, false, false, false, true});
-        return OptIndex(proxyEntries.size() - 1);
-    }
-
-    /** Look up a proxy entry; transfers through dead entries fault. */
-    const OptEntry &
-    proxy(OptIndex idx) const
-    {
-        if (idx >= proxyEntries.size())
-            panic("OPT proxy index %u out of range", idx);
-        if (!proxyEntries[idx].valid)
-            fatal("OPT proxy entry %u is stale (unimported or "
-                  "unexported buffer)", idx);
-        return proxyEntries[idx];
+        if (pages == 0 || pages >= std::size_t(kInvalidOpt - nextIndex))
+            panic("OPT allocate: %zu pages do not fit", pages);
+        OptIndex first = nextIndex;
+        runs.push_back(ProxyRun{first, dst_node, dst_frame, true});
+        nextIndex += OptIndex(pages);
+        return first;
     }
 
     /**
-     * Invalidate a proxy entry when its import (or the underlying
-     * export) is torn down. Indices are never reused, so stale sends
-     * hit the dead entry instead of someone else's memory.
+     * Look up a proxy entry; transfers through dead entries fault.
+     * Returned by value: the table may grow while a sender waits.
+     */
+    OptEntry
+    proxy(OptIndex idx) const
+    {
+        if (idx >= nextIndex)
+            panic("OPT proxy index %u out of range", idx);
+        const ProxyRun &run = runs[runOf(idx)];
+        if (!run.valid)
+            fatal("OPT proxy entry %u is stale (unimported or "
+                  "unexported buffer)", idx);
+        return OptEntry{run.dstNode, run.dstFrame + (idx - run.first)};
+    }
+
+    /**
+     * Invalidate the import that owns entry @p idx, all its pages at
+     * once, when the import (or the underlying export) is torn down.
+     * Indices are never reused, so stale sends hit the dead entry
+     * instead of someone else's memory.
      */
     void
     invalidate(OptIndex idx)
     {
-        if (idx >= proxyEntries.size())
+        if (idx >= nextIndex)
             panic("OPT invalidate: index %u out of range", idx);
-        proxyEntries[idx].valid = false;
+        runs[runOf(idx)].valid = false;
     }
 
     /**
@@ -114,11 +133,32 @@ class OutgoingPageTable
     /** Number of live AU bindings. */
     std::size_t auBindingCount() const { return auBindings.size(); }
 
-    /** Number of allocated proxy entries. */
-    std::size_t proxyCount() const { return proxyEntries.size(); }
+    /** Number of allocated proxy entries (pages, not imports). */
+    std::size_t proxyCount() const { return nextIndex; }
 
   private:
-    std::vector<OptEntry> proxyEntries;
+    /** The entries of one import: first, first + 1, ... */
+    struct ProxyRun
+    {
+        OptIndex first;
+        NodeId dstNode;
+        node::Frame dstFrame; //!< destination of entry first
+        bool valid;
+    };
+
+    /** Position in runs of the run holding @p idx (< nextIndex). */
+    std::size_t
+    runOf(OptIndex idx) const
+    {
+        // Runs are appended in index order and leave no gaps.
+        auto it = std::upper_bound(
+            runs.begin(), runs.end(), idx,
+            [](OptIndex i, const ProxyRun &r) { return i < r.first; });
+        return std::size_t(it - runs.begin()) - 1;
+    }
+
+    std::vector<ProxyRun> runs;
+    OptIndex nextIndex = 0;
     std::unordered_map<node::Frame, OptEntry> auBindings;
 };
 

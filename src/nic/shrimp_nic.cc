@@ -76,7 +76,8 @@ void
 ShrimpNic::post(const SendDesc &req)
 {
     auto &cpu = _node.cpu();
-    const auto &entry = _opt.proxy(req.proxy);
+    // A copy: imports during the queue-full wait below may grow the OPT.
+    const OptEntry entry = _opt.proxy(req.proxy);
 
     if (req.dstOffset + req.bytes > node::kPageBytes)
         panic("deliberate update crosses destination page boundary");

@@ -62,7 +62,9 @@ class NodeMemory
 
     /**
      * Allocate @p bytes, page-aligned when @p page_aligned (default:
-     * 8-byte aligned). Allocation is permanent for the run.
+     * 8-byte aligned). Allocations are permanent for the run and the
+     * bump pointer never hands memory out twice, so a fresh
+     * allocation reads as zero: callers need no memset.
      */
     void *
     alloc(std::size_t bytes, bool page_aligned = false)

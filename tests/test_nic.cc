@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "mesh/network.hh"
 #include "nic/modern_nic.hh"
@@ -50,6 +51,36 @@ TEST(PageTables, OptProxyAllocationAndLookup)
     EXPECT_EQ(opt.proxy(a).dstFrame, 17u);
     EXPECT_EQ(opt.proxy(b).dstNode, 5u);
     EXPECT_EQ(opt.proxyCount(), 2u);
+
+    // Multi-page imports to different nodes interleave; page i of
+    // each maps to its own first frame + i.
+    OptIndex c = opt.allocate(3, 100, 4);
+    OptIndex d = opt.allocate(5, 7);
+    OptIndex e = opt.allocate(3, 200, 3);
+    EXPECT_EQ(d, c + 4);
+    EXPECT_EQ(e, d + 1);
+    for (OptIndex i = 0; i < 4; ++i) {
+        EXPECT_EQ(opt.proxy(c + i).dstNode, 3u);
+        EXPECT_EQ(opt.proxy(c + i).dstFrame, 100u + i);
+    }
+    EXPECT_EQ(opt.proxy(d).dstNode, 5u);
+    EXPECT_EQ(opt.proxy(d).dstFrame, 7u);
+    for (OptIndex i = 0; i < 3; ++i) {
+        EXPECT_EQ(opt.proxy(e + i).dstNode, 3u);
+        EXPECT_EQ(opt.proxy(e + i).dstFrame, 200u + i);
+    }
+    // Pages, not imports.
+    EXPECT_EQ(opt.proxyCount(), 10u);
+}
+
+TEST(PageTables, IndexPastLastRunPanics)
+{
+    OutgoingPageTable opt;
+    EXPECT_DEATH(opt.proxy(0), "out of range");
+    OptIndex a = opt.allocate(1, 10, 3);
+    EXPECT_EQ(opt.proxy(a + 2).dstFrame, 12u);
+    EXPECT_DEATH(opt.proxy(a + 3), "out of range");
+    EXPECT_DEATH(opt.invalidate(a + 3), "out of range");
 }
 
 TEST(PageTables, AuBindingLifecycle)
@@ -120,6 +151,87 @@ TEST(ShrimpNic, PageCrossingTransferPanics)
         EXPECT_DEATH(h.nic0.post(req), "crosses");
     });
     h.sim.run();
+}
+
+TEST(ShrimpNic, InvalidatedImportFaultsWhileNeighbourStillSends)
+{
+    NicHarness h;
+    char *dst = static_cast<char *>(h.n1.mem().alloc(6 * 4096, true));
+    node::Frame f0 = h.n1.mem().frameOf(dst);
+    OptIndex dead = h.nic0.importPage(1, f0, 3);
+    OptIndex live = h.nic0.importPage(1, f0 + 3, 3);
+    // Invalidating any page tears down the whole import.
+    h.nic0.invalidateProxy(dead + 1);
+
+    auto post = [&](OptIndex proxy, const char *what) {
+        SendDesc req;
+        req.src = what;
+        req.proxy = proxy;
+        req.dstOffset = 8;
+        req.bytes = 4;
+        h.nic0.post(req);
+    };
+    h.sim.spawn("send", [&] {
+        EXPECT_DEATH(post(dead, "dead"), "stale");
+        EXPECT_DEATH(post(dead + 2, "dead"), "stale");
+        post(live, "live");
+        post(live + 2, "last");
+    });
+    h.sim.run();
+    EXPECT_EQ(std::memcmp(dst + 3 * 4096 + 8, "live", 4), 0);
+    EXPECT_EQ(std::memcmp(dst + 5 * 4096 + 8, "last", 4), 0);
+    for (int page = 0; page < 3; ++page)
+        EXPECT_EQ(dst[page * 4096 + 8], 0);
+}
+
+TEST(ShrimpNic, SendWaitingForQueueSurvivesOptGrowth)
+{
+    // Regression: post() held a reference into the OPT across its
+    // queue-full wait, and an import by another fiber on the same
+    // node could reallocate the table underneath it.
+    NicHarness h; // DU queue depth 1: the second post must wait
+    char *dst = static_cast<char *>(h.n1.mem().alloc(3 * 4096, true));
+    node::Frame f0 = h.n1.mem().frameOf(dst);
+    OptIndex proxy = h.nic0.importPage(1, f0, 3);
+    bool first_posted = false;
+    Tick imports_done = 0;
+    Tick second_accepted = 0;
+    node::Frame late_frame = node::kInvalidFrame;
+    h.nic1.setDeliverHook([&](const Delivery &d) {
+        if (d.offset == 100)
+            late_frame = d.frame;
+    });
+
+    h.sim.spawn("sender", [&] {
+        std::vector<char> page(4096, 'x');
+        SendDesc req;
+        req.src = page.data();
+        req.proxy = proxy;
+        req.dstOffset = 0;
+        req.bytes = 4096;
+        h.nic0.post(req);
+        first_posted = true;
+        req.src = "late";
+        req.proxy = proxy + 2;
+        req.dstOffset = 100;
+        req.bytes = 4;
+        h.nic0.post(req);
+        second_accepted = h.sim.now();
+    });
+    h.sim.spawn("importer", [&] {
+        while (!first_posted)
+            h.sim.delay(nanoseconds(100));
+        h.sim.delay(microseconds(10)); // sender is now waiting
+        for (int i = 0; i < 4096; ++i)
+            h.nic0.importPage(1, f0);
+        imports_done = h.sim.now();
+    });
+    h.sim.run();
+    EXPECT_GT(second_accepted, imports_done);
+    EXPECT_EQ(late_frame, f0 + 2); // delivered on node 1 (nic1)
+    EXPECT_EQ(std::memcmp(dst + 2 * 4096 + 100, "late", 4), 0);
+    EXPECT_EQ(dst[4096 + 100], 0);
+    EXPECT_EQ(dst[4095], 'x');
 }
 
 TEST(ShrimpNic, AuStoreToUnboundPageIsIgnored)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "node/node.hh"
 
 using namespace shrimp;
@@ -24,6 +26,24 @@ TEST(NodeMemory, AllocatesAndTranslates)
     EXPECT_EQ(mem.ptrOf(f), b);
     EXPECT_EQ(mem.ptrOf(f, 123), static_cast<char *>(b) + 123);
     EXPECT_FALSE(mem.contains(&f));
+}
+
+TEST(NodeMemory, FreshAllocationReadsZeroAfterEarlierWrites)
+{
+    // Callers rely on this instead of zeroing what they allocate.
+    NodeMemory mem(1 << 20);
+    char *a = static_cast<char *>(mem.alloc(100));
+    std::memset(a, 0xab, 100);
+    char *b = static_cast<char *>(mem.alloc(3 * kPageBytes, true));
+    std::memset(b, 0xcd, 3 * kPageBytes);
+    char *c = static_cast<char *>(mem.alloc(2 * kPageBytes + 40, true));
+    char *d = static_cast<char *>(mem.alloc(24));
+    EXPECT_GE(c, b + 3 * kPageBytes);
+    EXPECT_GE(d, c + 2 * kPageBytes + 40);
+    for (std::size_t i = 0; i < 2 * kPageBytes + 40; ++i)
+        ASSERT_EQ(c[i], 0) << "at " << i;
+    for (std::size_t i = 0; i < 24; ++i)
+        ASSERT_EQ(d[i], 0) << "at " << i;
 }
 
 TEST(NodeMemory, ExhaustionIsFatal)

@@ -27,6 +27,57 @@ pageBuf(Cluster &c, int node, std::size_t bytes)
     return p;
 }
 
+enum class Teardown { None, Unimport, Unexport };
+
+/**
+ * Import a three-page buffer of node 1 on node 0, tear the mapping
+ * down as @p how says, then write one byte to the buffer's last page:
+ * through VMMC, or straight at the NIC's OPT entry for that page
+ * when @p via_nic (the first import on node 0 owns entries 0..2).
+ * @return whether the byte landed.
+ */
+bool
+sendToLastPageAfter(Teardown how, bool via_nic)
+{
+    Cluster c;
+    constexpr std::size_t kBytes = 3 * node::kPageBytes;
+    char *buf = pageBuf(c, 1, kBytes);
+    ExportId exp = kInvalidExport;
+    ProxyId p = kInvalidProxy;
+    bool torn_down = false;
+
+    c.spawnOn(1, "owner", [&] {
+        exp = c.vmmc(1).exportBuffer(buf, kBytes);
+        while (p == kInvalidProxy)
+            c.sim().delay(microseconds(10));
+        if (how == Teardown::Unexport)
+            c.vmmc(1).unexport(exp);
+        torn_down = true;
+    });
+    c.spawnOn(0, "sender", [&] {
+        while (exp == kInvalidExport)
+            c.sim().delay(microseconds(10));
+        p = c.vmmc(0).import(1, exp);
+        if (how == Teardown::Unimport)
+            c.vmmc(0).unimport(p);
+        while (!torn_down)
+            c.sim().delay(microseconds(10));
+        char v = 1;
+        if (via_nic) {
+            nic::SendDesc req;
+            req.src = &v;
+            req.proxy = 2;
+            req.dstOffset = node::kPageBytes - 1;
+            req.bytes = 1;
+            c.nic(0).post(req);
+        } else {
+            c.vmmc(0).send(p, &v, 1, kBytes - 1);
+        }
+    });
+    c.run();
+    return buf[kBytes - 1] == 1;
+}
+
 } // anonymous namespace
 
 TEST(Vmmc, DeliberateUpdateMovesData)
@@ -89,6 +140,20 @@ TEST(Vmmc, LargeSendSpansPages)
     EXPECT_GE(c.sim().stats().counterValue("node0.nic.du_transfers"), 6u);
     // One VMMC message.
     EXPECT_EQ(c.sim().stats().counterValue("node0.vmmc.messages"), 1u);
+}
+
+TEST(Vmmc, TeardownFaultsLastPageOfMultiPageImport)
+{
+    EXPECT_TRUE(sendToLastPageAfter(Teardown::None, false));
+    EXPECT_TRUE(sendToLastPageAfter(Teardown::None, true));
+    EXPECT_DEATH(sendToLastPageAfter(Teardown::Unimport, false),
+                 "stale proxy");
+    EXPECT_DEATH(sendToLastPageAfter(Teardown::Unimport, true),
+                 "OPT proxy entry 2 is stale");
+    EXPECT_DEATH(sendToLastPageAfter(Teardown::Unexport, false),
+                 "stale proxy");
+    EXPECT_DEATH(sendToLastPageAfter(Teardown::Unexport, true),
+                 "OPT proxy entry 2 is stale");
 }
 
 TEST(Vmmc, SendLatencyIsAroundSixMicroseconds)
