@@ -11,11 +11,9 @@
 #include <ucontext.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#include "apps/radix.hh"
 #include "core/vmmc.hh"
 #include "mesh/network.hh"
 #include "sim/simulation.hh"
@@ -325,46 +323,6 @@ BM_VmmcSmallMessages(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_VmmcSmallMessages);
-
-/**
- * One full application run, serial vs the parallel engine at 2 and 4
- * worker threads: the end-to-end payoff (or cost) of intra-run
- * parallelism on a real workload, the fig3 radix-VMMC configuration.
- * The checksum cross-check doubles as a determinism smoke: every
- * thread count must compute the identical answer. Tracked in the CI
- * benchmark artifact, not asserted — on starved or single-core CI
- * runners the parallel arms can legitimately be slower (barrier
- * overhead with nothing to overlap).
- */
-void
-BM_SingleRunParallel(benchmark::State &state)
-{
-    // The arm's thread count must win over any ambient SHRIMP_THREADS,
-    // or the "serial" baseline silently runs parallel.
-    unsetenv("SHRIMP_THREADS");
-    apps::RadixConfig cfg;
-    cfg.keys = 256 * 1024;
-    cfg.iterations = 2;
-    core::ClusterConfig cc;
-    cc.threads = int(state.range(0));
-    static std::uint64_t expect = 0;
-    for (auto _ : state) {
-        apps::AppResult r = apps::runRadixVmmc(cc, /*au=*/true, 16,
-                                               cfg);
-        if (expect == 0)
-            expect = r.checksum;
-        else if (r.checksum != expect)
-            state.SkipWithError("checksum diverged across thread "
-                                "counts");
-        benchmark::DoNotOptimize(r.elapsed);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SingleRunParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

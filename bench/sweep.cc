@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "sim/causal.hh"
 #include "sim/logging.hh"
 #include "sim/run_report.hh"
 #include "sim/trace_json.hh"
@@ -172,11 +173,16 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
         tl_metrics_buffer = nullptr;
     };
 
-    // The trace recorder is process-global; keep traced runs serial.
+    // Both recorders are process-global and single-threaded. Open
+    // them from the environment here, before any worker exists (each
+    // Cluster would otherwise race to open them), and keep a
+    // recording sweep on one worker.
+    trace_json::openFromEnv();
+    causal::openFromEnv();
     std::size_t workers = std::size_t(sweepJobs());
     if (workers > count)
         workers = count;
-    if (trace_json::enabled())
+    if (trace_json::enabled() || causal::enabled())
         workers = 1;
 
     g_sweepsActive.fetch_add(1, std::memory_order_relaxed);

@@ -7,7 +7,6 @@
 #include "apps/mailbox.hh"
 #include "core/collective.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/random.hh"
 
 namespace shrimp::apps
@@ -235,22 +234,8 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
     };
     std::vector<RankBufs> bufs(nprocs);
 
-    // Partition-safe: the measured loop's only cross-rank traffic is
-    // mesh-mediated (mailbox sends, AU writes, collective barriers),
-    // and the setup phase's shared-host accesses are bracketed by a
-    // HostRendezvous below. Rank 0's post-loop verification reads peer
-    // partitions only after the final barrier's mesh round-trip.
-    cluster.setParallelEligible(true);
-
     for (int q = 0; q < nprocs; ++q) {
         cluster.spawnOn(q, "radix", [&, q] {
-            // Setup touches cross-rank host state directly (the
-            // export-poll flags, peer export records on import, the
-            // mailbox/collective init rendezvous, the message
-            // snapshot): hold the engine at serial execution until
-            // the measured region starts.
-            HostRendezvous rendezvous(cluster.sim());
-
             core::Endpoint &ep = cluster.vmmc(q);
             auto &mem = ep.node().mem();
             auto &cpu = cluster.node(q).cpu();
@@ -302,7 +287,6 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
             if (q == 0)
                 before = MessageSnapshot::take(cluster);
             clock.start[q] = sim.now();
-            rendezvous.release();
 
             bool a_to_b = true;
             for (int pass = 0; pass < config.iterations; ++pass) {

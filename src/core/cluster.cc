@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <thread>
 
 #include "core/vmmc.hh"
 #include "sim/causal.hh"
@@ -12,27 +11,6 @@
 
 namespace shrimp::core
 {
-
-int
-maxThreads()
-{
-    return std::max(16, int(std::thread::hardware_concurrency()));
-}
-
-int
-clampThreads(int t)
-{
-    return std::clamp(t, 1, maxThreads());
-}
-
-int
-threadsFromEnv(int fallback)
-{
-    int t = fallback;
-    if (const char *e = std::getenv("SHRIMP_THREADS"); e && *e)
-        t = std::atoi(e);
-    return clampThreads(t);
-}
 
 bool
 parseMesh(const char *spec, int &width, int &height)
@@ -92,13 +70,6 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
             e && *e)
             _config.watchdogSecs = std::atoi(e);
     }
-    // SHRIMP_THREADS layers onto the *default* only: a config that
-    // names a thread count explicitly (in-process serial-vs-parallel
-    // comparisons, the parallel benchmarks) keeps it.
-    if (_config.threads <= 1)
-        _config.threads = threadsFromEnv(1);
-    else
-        _config.threads = clampThreads(_config.threads);
     // SHRIMP_MESH follows the same layering: it overrides the 4x4
     // default, never an explicitly-configured geometry.
     if (_config.meshWidth == 4 && _config.meshHeight == 4)
@@ -108,8 +79,7 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
 
     if (_config.lifecycleTracing)
         _lifecycle.enable(_sim.stats());
-    // Causal tracing needs per-packet stage stamps but no histograms;
-    // stamp-only mode stays safe under the parallel engine.
+    // Causal tracing needs per-packet stage stamps but no histograms.
     if (causal::enabled())
         _lifecycle.enableStamps();
 
@@ -131,9 +101,6 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
     nics.reserve(n);
     endpoints.reserve(n);
     for (int i = 0; i < n; ++i) {
-        // Anything a node's hardware models spawn (now or lazily,
-        // mid-run) belongs to the node's partition.
-        _sim.setSpawnDomainHint(domainForNode(i));
         nodes.push_back(std::make_unique<node::Node>(
             _sim, NodeId(i), config.machine, config.nodeMemBytes));
         switch (config.nicKind) {
@@ -153,7 +120,6 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
         endpoints.push_back(std::make_unique<Endpoint>(
             *this, *nodes.back(), *nics.back()));
     }
-    _sim.setSpawnDomainHint(-1);
 
     if (_config.metricsInterval > 0) {
         registerGauges();
@@ -214,21 +180,10 @@ Cluster::registerGauges()
         return double(_network->busyLinkCount(_sim.now()));
     });
     _sampler.addGauge("sim.event_queue",
-                      [this] { return double(_sim.pendingEvents()); });
+                      [this] { return double(_sim.events().size()); });
 }
 
 Cluster::~Cluster() = default;
-
-bool
-Cluster::parallelArmed() const
-{
-    // Tracing modes interleave their output with execution order, so
-    // they pin the run to the serial path; eligibility is the
-    // workload's own declaration that its host memory traffic is
-    // partition-safe.
-    return _config.threads > 1 && _parallelEligible &&
-           !trace_json::enabled() && !_config.lifecycleTracing;
-}
 
 /*
  * The watchdog readers run on a separate host thread and glance at
@@ -240,8 +195,8 @@ Cluster::watchdogSnapshot() const
 {
     Watchdog::Snapshot s;
     s.nowPs = std::uint64_t(_sim.now());
-    s.executed = _sim.executedEvents();
-    s.pending = _sim.pendingEvents();
+    s.executed = _sim.events().executed();
+    s.pending = _sim.events().size();
     return s;
 }
 
@@ -273,30 +228,7 @@ Cluster::run()
             [this] { return watchdogSnapshot(); },
             [this] { return watchdogDetail(); });
     }
-    if (!parallelArmed()) {
-        _sim.run();
-        return;
-    }
-    _sim.configureParallel(_config.threads);
-    ParallelEngine *eng = _sim.parallel();
-    std::vector<EventQueue *> queues(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-        queues[i] = eng->queueForDomain(domainForNode(int(i)));
-    _network->setParallel(eng, std::move(queues));
-    _network->pool().setShared(true);
-    // Conservative lookahead: every cross-node packet pays the
-    // injection transceiver plus at least one hop before it can touch
-    // another partition (serialization adds strictly more, loopback
-    // stays node-local and costs even more), so events less than L
-    // apart on different partitions cannot affect each other.
-    Tick lookahead =
-        _config.network.transceiverLatency + _config.network.hopLatency;
-    _sim.runParallel(lookahead);
-    _engineStats = eng->workerStats();
-    for (int d = 0; d < int(_engineStats.size()); ++d)
-        _engineStats[d].fiberSwitches = _sim.fiberSwitchesByDomain(d);
-    _network->setParallel(nullptr, {});
-    _network->pool().setShared(false);
+    _sim.run();
 }
 
 nic::NicBase::PeerHealth

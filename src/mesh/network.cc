@@ -97,59 +97,16 @@ Network::routeMemoBytes() const
 }
 
 void
-Network::setParallel(ParallelEngine *eng,
-                     std::vector<EventQueue *> queuesByNode)
-{
-    engine = eng;
-    nodeQueues = std::move(queuesByNode);
-    deferredPkts.clear();
-    if (engine) {
-        if (nodeQueues.size() != receivers.size())
-            panic("setParallel: %zu node queues for %zu nodes",
-                  nodeQueues.size(), receivers.size());
-        deferredPkts.resize(engine->partitions());
-    }
-}
-
-void
-Network::runDeferred(std::uint64_t token, Tick when, std::uint64_t a,
-                     std::uint32_t b)
-{
-    Packet &pkt = deferredPkts[token >> 32][token & 0xffffffffu];
-    sendNow(std::move(pkt), when, a, b, true);
-}
-
-void
-Network::deferredDrained()
-{
-    for (auto &v : deferredPkts)
-        v.clear();
-}
-
-void
-Network::scheduleDelivery(Packet &&pkt, Tick deliver, std::uint64_t a,
-                          std::uint32_t b, bool keyed)
+Network::scheduleDelivery(Packet &&pkt, Tick deliver)
 {
     if (pkt.life.id)
         pkt.life.delivered = deliver;
     auto [p, id] = _pool.acquireRef();
     *p = std::move(pkt);
-    auto cb = [this, p, id = id] {
+    sim.scheduleAt(deliver, [this, p, id = id] {
         receivers[p->dst](*p);
         _pool.release(id);
-    };
-    if (keyed) {
-        // Deliveries execute inside the destination partition's
-        // windows, except those flagged for a global serial point
-        // (Packet::serialDelivery) which go to the main queue. Either
-        // way the key is the issuing slot's serial key, so the total
-        // (when, a, b) order is exactly the serial one.
-        EventQueue *q =
-            p->serialDelivery ? &sim.events() : nodeQueues[p->dst];
-        q->scheduleAtKeyed(deliver, a, b, std::move(cb));
-    } else {
-        sim.scheduleAt(deliver, std::move(cb));
-    }
+    });
 }
 
 void
@@ -160,42 +117,7 @@ Network::send(Packet pkt)
     if (!receivers[pkt.dst])
         panic("send to node %u with no receiver attached", pkt.dst);
 
-    if (engine && engine->inWindow()) {
-        // Inside a lookahead window the link timelines, the fault
-        // plane's RNG and the mesh counters are shared across
-        // partitions, so the traversal is deferred in full — even
-        // loopback — and replayed at the barrier in serial order.
-        // deferOp captures the issuing slot's (provisional) key and
-        // consumes a schedule-call index, exactly as the serial
-        // delivery schedule would have.
-        int domain = execContext()->domainIdx;
-        auto &vec = deferredPkts[domain];
-        std::uint64_t token =
-            (std::uint64_t(domain) << 32) | vec.size();
-        vec.push_back(std::move(pkt));
-        engine->deferOp(this, token);
-        return;
-    }
-
-    std::uint64_t a = 0;
-    std::uint32_t b = 0;
-    bool keyed = false;
-    ExecContext *c = execContext();
-    if (engine && c && c->sim == &sim) {
-        // Engine armed, serial phase: consume the ambient schedule
-        // slot so the delivery event carries the same key the serial
-        // scheduleAt call would have.
-        a = execKeyA(c->cursor);
-        b = c->cursor.callIdx++;
-        keyed = true;
-    }
-    sendNow(std::move(pkt), sim.now(), a, b, keyed);
-}
-
-void
-Network::sendNow(Packet &&pkt, Tick when, std::uint64_t a,
-                 std::uint32_t b, bool keyed)
-{
+    Tick when = sim.now();
     stPackets.inc(pkt.hwPackets);
     stBytes.inc(pkt.wireBytes);
 
@@ -221,8 +143,7 @@ Network::sendNow(Packet &&pkt, Tick when, std::uint64_t a,
         loopbackBusyUntil[pkt.src] = start + serialization;
         scheduleDelivery(std::move(pkt),
                          start + serialization +
-                             _params.loopbackLatency,
-                         a, b, keyed);
+                             _params.loopbackLatency);
         return;
     }
 
@@ -260,8 +181,7 @@ Network::sendNow(Packet &&pkt, Tick when, std::uint64_t a,
             // link and exits through the ejection transceiver.
             scheduleDelivery(std::move(pkt),
                              s + serialization +
-                                 _params.transceiverLatency,
-                             a, b, keyed);
+                                 _params.transceiverLatency);
             return;
         }
     }
@@ -324,7 +244,7 @@ Network::sendNow(Packet &&pkt, Tick when, std::uint64_t a,
                    pkt.dst, pkt.wireBytes));
     }
 
-    scheduleDelivery(std::move(pkt), deliver, a, b, keyed);
+    scheduleDelivery(std::move(pkt), deliver);
 }
 
 Tick

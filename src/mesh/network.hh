@@ -31,7 +31,6 @@
 #include "mesh/packet.hh"
 #include "mesh/packet_pool.hh"
 #include "mesh/topology.hh"
-#include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 
@@ -62,7 +61,7 @@ struct NetworkParams
  * callback per node; send() models the traversal and schedules the
  * callback at the packet's tail-arrival time.
  */
-class Network : public ParallelEngine::DeferClient
+class Network
 {
   public:
     using Receiver = std::function<void(const Packet &)>;
@@ -144,25 +143,6 @@ class Network : public ParallelEngine::DeferClient
      */
     PacketPool &pool() { return _pool; }
 
-    /**
-     * Arm parallel-engine mode. While armed, sends issued inside a
-     * lookahead window are deferred and replayed serially at the next
-     * epoch barrier — in the exact order a serial run would have
-     * issued them, so link arbitration, fault crossings, stall stats
-     * and the serialization memo all evolve bit-identically — and
-     * deliveries are posted to the destination node's partition queue
-     * (@p queuesByNode, one entry per node) with the issuing schedule
-     * slot's serial key, so they sort exactly where serial execution
-     * would have placed them.
-     */
-    void setParallel(ParallelEngine *eng,
-                     std::vector<EventQueue *> queuesByNode);
-
-    // ParallelEngine::DeferClient
-    void runDeferred(std::uint64_t token, Tick when, std::uint64_t a,
-                     std::uint32_t b) override;
-    void deferredDrained() override;
-
   private:
     /** Cached trace track id for @p link ("mesh.linkN"). */
     int linkTrack(int link);
@@ -174,22 +154,8 @@ class Network : public ParallelEngine::DeferClient
         std::int32_t length = 0;
     };
 
-    /**
-     * Schedule delivery of @p pkt at absolute time @p deliver. When
-     * keyed, the event goes to the destination node's partition queue
-     * under (@p deliver, @p a, @p b); otherwise through the legacy
-     * Simulation::scheduleAt path.
-     */
-    void scheduleDelivery(Packet &&pkt, Tick deliver, std::uint64_t a,
-                          std::uint32_t b, bool keyed);
-
-    /**
-     * The full traversal model: timing, contention, faults, stats.
-     * @p when is the simulated time the send was issued; (@p a, @p b)
-     * the serial key of the issuing schedule slot (used when keyed).
-     */
-    void sendNow(Packet &&pkt, Tick when, std::uint64_t a,
-                 std::uint32_t b, bool keyed);
+    /** Schedule delivery of @p pkt at absolute time @p deliver. */
+    void scheduleDelivery(Packet &&pkt, Tick deliver);
 
     Simulation &sim;
     Topology topo;
@@ -208,11 +174,6 @@ class Network : public ParallelEngine::DeferClient
     std::vector<int> routeArena;
     std::unique_ptr<FaultInjector> injector;
     PacketPool _pool;
-
-    // Parallel-engine mode (null/empty when serial).
-    ParallelEngine *engine = nullptr;
-    std::vector<EventQueue *> nodeQueues;
-    std::vector<std::vector<Packet>> deferredPkts; //!< per partition
 
     /** One-entry serialization-time memo (see send()). */
     std::uint32_t serMemoBytes = ~0u;

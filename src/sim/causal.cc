@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -36,17 +35,17 @@ struct Record
 std::FILE *out = nullptr;
 
 /**
- * The record buffer and the per-node id counters. Records are
- * appended under a mutex (worker threads of the parallel engine emit
- * concurrently); the id counters need no lock because a node's events
- * only ever execute on one thread at a time (partition ownership, and
- * the epoch barrier orders worker-vs-main access).
+ * The record buffer and the per-node id counters (index node + 1,
+ * grown on first use). One thread records at a time: the sweep runner
+ * runs a recording sweep on one worker (bench/sweep.cc).
  */
-std::mutex recMutex;
 std::vector<Record> records;
 std::vector<std::uint64_t> nodeCounter;
 
-/** Per-node Chrome-trace track ids (guarded by recMutex). */
+/** Node-id ceiling for span ids: the mesh's (mesh::kMaxMeshNodes). */
+constexpr std::size_t kMaxNodes = 64 * 1024;
+
+/** Per-node Chrome-trace track ids. */
 std::vector<int> chromeTracks;
 
 /**
@@ -92,14 +91,8 @@ open(const std::string &path)
     out = std::fopen(path.c_str(), "w");
     if (!out)
         fatal("causal: cannot open '%s' for writing", path.c_str());
-    {
-        std::lock_guard<std::mutex> lock(recMutex);
-        records.clear();
-        // Pre-size the counter table to the mesh ceiling (64K nodes)
-        // so mintId never grows it: concurrent growth from parallel
-        // workers would invalidate the in-place increments.
-        nodeCounter.assign(64 * 1024 + 2, 0);
-    }
+    records.clear();
+    nodeCounter.clear();
     detail::g_enabled = true;
 }
 
@@ -110,10 +103,8 @@ close()
         return;
     detail::g_enabled = false;
 
-    std::lock_guard<std::mutex> lock(recMutex);
     // Ids are minted in deterministic per-node order; sorting by id
-    // makes the file independent of cross-node (and cross-thread)
-    // interleaving, so serial and parallel runs write identical logs.
+    // makes the file independent of cross-node interleaving.
     std::sort(records.begin(), records.end(),
               [](const Record &a, const Record &b) {
                   return a.id < b.id;
@@ -167,8 +158,11 @@ std::uint64_t
 mintId(int node)
 {
     std::size_t idx = std::size_t(node + 1);
-    if (idx >= nodeCounter.size())
-        fatal("causal: node %d out of range", node);
+    if (idx >= nodeCounter.size()) {
+        if (idx > kMaxNodes)
+            fatal("causal: node %d out of range", node);
+        nodeCounter.resize(idx + 1, 0);
+    }
     return (std::uint64_t(node + 1) << 32) | ++nodeCounter[idx];
 }
 
@@ -188,13 +182,10 @@ emitSpan(std::uint64_t id, const CauseCtx &parent, int node,
     r.name = name;
     r.start = start;
     r.end = end;
-    std::lock_guard<std::mutex> lock(recMutex);
     records.push_back(r);
 
     // Mirror the span (with its causal links as args) into the Chrome
-    // trace when both recorders are on, one track per node. Safe to
-    // call the serial-only recorder here: an open trace file pins the
-    // run to the serial engine, so emits never race.
+    // trace when both recorders are on, one track per node.
     if (trace_json::enabled()) {
         std::size_t idx = std::size_t(node + 1);
         if (chromeTracks.size() <= idx)

@@ -22,7 +22,8 @@
  * with integer picosecond timestamps (exact, no rounding). Span ids
  * are minted from per-node counters (`(node+1) << 32 | counter`), so
  * ids — and therefore the whole sorted log — are identical between
- * serial and SHRIMP_THREADS=N runs of a bit-identical simulation.
+ * repeated runs of a bit-identical simulation. The recorder is not
+ * thread-safe: the sweep runner runs a recording sweep on one worker.
  * `parent == 0` marks a trace root; `trace` is the root span's id.
  *
  * Enable with causal::open(path) (shrimp_run --causal FILE, or the
@@ -94,7 +95,7 @@ std::uint64_t mintId(int node);
 
 /**
  * Record one completed span. @p parent may be empty (trace root).
- * Thread-safe; records are buffered and sorted by id at close().
+ * Records are buffered and sorted by id at close().
  */
 void emitSpan(std::uint64_t id, const CauseCtx &parent, int node,
               const char *name, Tick start, Tick end);

@@ -6,8 +6,6 @@
 namespace shrimp
 {
 
-constinit thread_local ExecContext *tls_exec = nullptr;
-
 EventQueue::~EventQueue()
 {
     // Destroy the callbacks of still-pending events; the pool slabs
@@ -44,78 +42,8 @@ EventQueue::post(Tick when)
     freeHead = rec.nextFree;
     rec.live = true;
     rec.cancelled = false;
-    heapPush(HeapKey{when, nextSeq++, 0, slot});
+    heapPush(HeapKey{when, nextSeq++, slot});
     return slot;
-}
-
-std::uint32_t
-EventQueue::postKeyed(Tick when, std::uint64_t a, std::uint32_t b)
-{
-    if (when < _now)
-        panic("scheduling an event in the past");
-    if (freeHead == kNoFreeSlot)
-        addSlab();
-    std::uint32_t slot = freeHead;
-    EventRecord &rec = record(slot);
-    freeHead = rec.nextFree;
-    rec.live = true;
-    rec.cancelled = false;
-    heapPush(HeapKey{when, a, b, slot});
-    return slot;
-}
-
-std::size_t
-EventQueue::runWindow(Tick end, std::vector<OrderKey> &log,
-                      ExecCursor &cur)
-{
-    std::size_t ran = 0;
-    while (!heap.empty() && heap.front().when < end) {
-        HeapKey key = heapPop();
-        EventRecord &rec = record(key.slot);
-        if (rec.cancelled) {
-            recycle(key.slot);
-            continue;
-        }
-        _now = key.when;
-        ++_executed;
-        log.push_back(OrderKey{key.when, key.a, key.b});
-        cur.execIdx = _windowExec++;
-        cur.callIdx = 0;
-        cur.provisional = true;
-        rec.fn();
-        recycle(key.slot);
-        ++ran;
-    }
-    return ran;
-}
-
-bool
-EventQueue::peekKey(OrderKey &out) const
-{
-    if (heap.empty())
-        return false;
-    const HeapKey &top = heap.front();
-    out = OrderKey{top.when, top.a, top.b};
-    return true;
-}
-
-bool
-EventQueue::stepSerial(ExecCursor &cur, std::uint64_t rank)
-{
-    HeapKey key = heapPop();
-    EventRecord &rec = record(key.slot);
-    if (rec.cancelled) {
-        recycle(key.slot);
-        return false;
-    }
-    _now = key.when;
-    ++_executed;
-    cur.execIdx = rank;
-    cur.callIdx = 0;
-    cur.provisional = false;
-    rec.fn();
-    recycle(key.slot);
-    return true;
 }
 
 void

@@ -17,11 +17,6 @@
  *    without an fcontext port): POSIX ucontext, whose swapcontext
  *    carries the signal mask through a sigprocmask syscall per switch
  *    (~1.7 us, and all of it sys time).
- *
- * Both are thread-agnostic: a fiber may be resumed from a different
- * OS thread each time (the parallel engine migrates node fibers
- * across workers), as long as individual resumes are externally
- * ordered, which the engine's epoch barriers provide.
  */
 
 #ifndef SHRIMP_SIM_FIBER_HH
@@ -44,7 +39,7 @@
 
 // ThreadSanitizer needs to be told about user-level context switches,
 // or it misattributes every fiber's stack accesses to whichever thread
-// happens to host it (fibers migrate across engine worker threads).
+// happens to host it.
 #if defined(__SANITIZE_THREAD__)
 #define SHRIMP_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -312,9 +307,8 @@ class Fiber
     /**
      * One-way context transfers this fiber has performed (each
      * resume, yield, and final exit counts one). A pure function of
-     * the simulated execution, so serial and parallel runs of the
-     * same workload report identical totals — test_parallel asserts
-     * exactly that.
+     * the simulated execution, so repeated runs of the same workload
+     * report identical totals.
      */
     std::uint64_t switches() const { return _switches; }
 
@@ -337,8 +331,7 @@ class Fiber
      * thread-local it cannot race — only the owning thread touches
      * its slot, and fiber-vs-host interleaving on one thread is
      * sequential. TSan models fibers as threads of their own, so it
-     * sees those accesses as cross-thread; exempt them (same
-     * treatment as execContext() in sim/event_queue.hh).
+     * sees those accesses as cross-thread; exempt them.
      */
     SHRIMP_FIBER_NO_TSAN static Fiber *
     currentFiber()
@@ -370,7 +363,7 @@ class Fiber
      * Where this fiber is suspended (valid while not running), and
      * where it must jump to give control back (valid while running —
      * refreshed at every entry, because each resume can come from a
-     * different scheduler context/thread).
+     * different scheduler context).
      */
     fctx::Context fctx = nullptr;
     fctx::Context retCtx = nullptr;
@@ -396,7 +389,9 @@ class Fiber
 #endif
 
     // constinit: keeps cross-TU reads free of the TLS lazy-init
-    // wrapper guard (see the note on tls_exec in event_queue.hh).
+    // wrapper guard, whose gcc 12 -fsanitize=null check consumes
+    // stale flags after the guard branch and aborts with a spurious
+    // "load of null pointer".
     static constinit thread_local Fiber *current_fiber;
 };
 
@@ -449,9 +444,8 @@ Fiber::yield()
     ASAN_START_SWITCH(&asanFiberFake, retStackBottom, retStackSize);
 #endif
     fctx::Transfer t = shrimp_fctx_jump(retCtx, this);
-    // Resumed — possibly from a different scheduler context (fibers
-    // migrate across engine worker threads), so refresh the return
-    // path before anything else.
+    // Resumed — possibly from a different scheduler context, so
+    // refresh the return path before anything else.
     retCtx = t.ctx;
 #if defined(SHRIMP_ASAN_FIBERS)
     ASAN_FINISH_SWITCH(asanFiberFake, &retStackBottom, &retStackSize);

@@ -34,7 +34,6 @@
 #ifndef SHRIMP_SIM_LIFECYCLE_HH
 #define SHRIMP_SIM_LIFECYCLE_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -78,27 +77,15 @@ class LifecycleTracer
     /**
      * Stamp packets but sample no histograms. Causal tracing
      * (sim/causal.hh) needs the per-packet stamps without the
-     * histogram block: stamping mutates only packet metadata, so —
-     * unlike histogram mode, which the Cluster pins to serial
-     * execution — it is safe under the parallel engine, and the
-     * RunReport stays free of the latency_breakdown block.
+     * histogram block, so its RunReport stays free of the
+     * latency_breakdown block.
      */
     void enableStamps() { _stampOnly = true; }
 
     bool enabled() const { return _histEnabled || _stampOnly; }
 
-    /**
-     * Next trace id (> 0). Call only when enabled. Atomic because in
-     * stamp-only mode NICs in different partitions mint concurrently;
-     * the ids never reach any serialized output in that mode, so the
-     * nondeterministic ordering is harmless (histogram mode runs
-     * serial and keeps the global send order).
-     */
-    std::uint64_t
-    nextId()
-    {
-        return lastId.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
+    /** Next trace id (> 0). Call only when enabled. */
+    std::uint64_t nextId() { return ++lastId; }
 
     /**
      * Record one delivered packet. The first four stamps come from
@@ -111,7 +98,7 @@ class LifecycleTracer
   private:
     bool _histEnabled = false;
     bool _stampOnly = false;
-    std::atomic<std::uint64_t> lastId{0};
+    std::uint64_t lastId = 0;
     Histogram *hist[std::size_t(LifeStage::kCount)] = {};
 };
 

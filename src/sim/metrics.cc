@@ -103,7 +103,7 @@ MetricsSampler::tick()
     // Keep going only while the simulation has work of its own: our
     // event has already popped, so a non-empty queue here means
     // somebody else is still running and deserves coverage.
-    if (_sim->anyPending())
+    if (!_sim->events().empty())
         _sim->schedule(_interval, [this] { tick(); });
 }
 

@@ -176,19 +176,8 @@ validateReport(const JsonValue &doc, std::string *err)
     if (!params)
         return false;
     // Params are free-form strings, but the ones tools consume get
-    // shape checks. 'threads' (intra-run parallelism) must be a
-    // positive decimal integer when present.
-    if (const JsonValue *threads = params->find("threads")) {
-        bool ok = threads->isString() && !threads->str.empty() &&
-                  threads->str.find_first_not_of("0123456789") ==
-                      std::string::npos &&
-                  threads->str != "0";
-        if (!ok)
-            return failWith(err, "params.threads is not a positive "
-                                 "integer");
-    }
-    // 'mesh' (topology sweep axis) must be "WxH" with two positive
-    // decimal integers when present.
+    // shape checks. 'mesh' (topology sweep axis) must be "WxH" with
+    // two positive decimal integers when present.
     if (const JsonValue *mesh = params->find("mesh")) {
         bool ok = mesh->isString();
         if (ok) {

@@ -1,7 +1,6 @@
 #include "sim/simulation.hh"
 
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/trace_json.hh"
 
 namespace shrimp
@@ -11,8 +10,8 @@ namespace
 {
 
 /// Stack of live simulations; tests may nest construction. Per host
-/// thread, so the parallel sweep runner can run one Simulation per
-/// worker without the stacks interleaving.
+/// thread, so the sweep runner can run one Simulation per worker
+/// without the stacks interleaving.
 thread_local std::vector<Simulation *> live_simulations;
 
 } // anonymous namespace
@@ -73,75 +72,6 @@ Simulation::currentOrNull()
     return live_simulations.empty() ? nullptr : live_simulations.back();
 }
 
-void
-Simulation::beginEngineThread(Simulation *sim)
-{
-    live_simulations.push_back(sim);
-}
-
-void
-Simulation::endEngineThread(Simulation *sim)
-{
-    if (live_simulations.empty() || live_simulations.back() != sim)
-        warn("engine thread exiting with a foreign simulation stack");
-    else
-        live_simulations.pop_back();
-}
-
-void
-Simulation::configureParallel(int partitions)
-{
-    if (_parallel && _parallel->partitions() == partitions)
-        return;
-    if (_parallel && _parallel->running())
-        panic("reconfiguring the parallel engine while it is running");
-    _parallel = std::make_unique<ParallelEngine>(*this, partitions);
-}
-
-void
-Simulation::runParallel(Tick lookahead)
-{
-    if (!_parallel)
-        panic("runParallel without configureParallel");
-    _parallel->run(lookahead);
-}
-
-std::size_t
-Simulation::pendingEvents() const
-{
-    if (_parallel)
-        return _parallel->pendingEvents();
-    return queue.size();
-}
-
-std::uint64_t
-Simulation::executedEvents() const
-{
-    if (_parallel)
-        return _parallel->executedEvents();
-    return queue.executed();
-}
-
-EventQueue *
-Simulation::engineQueueForDomain(int domain)
-{
-    if (!_parallel || domain < 0)
-        return &queue;
-    return _parallel->queueForDomain(domain);
-}
-
-void
-Simulation::setCurrent(Process *p)
-{
-    ExecContext *c = execContext();
-    if (c && c->sim == this) {
-        c->process = p;
-        c->processTarget = p ? engineQueueForDomain(p->_domain) : nullptr;
-        return;
-    }
-    _current = p;
-}
-
 std::vector<std::string>
 Simulation::unfinishedProcesses() const
 {
@@ -154,24 +84,11 @@ Simulation::unfinishedProcesses() const
 }
 
 std::uint64_t
-Simulation::fiberSwitchTotal()
+Simulation::fiberSwitchTotal() const
 {
-    std::lock_guard<std::mutex> lock(_processMutex);
     std::uint64_t n = 0;
     for (const auto &p : processes)
         n += p->fiber.switches();
-    return n;
-}
-
-std::uint64_t
-Simulation::fiberSwitchesByDomain(int domain)
-{
-    std::lock_guard<std::mutex> lock(_processMutex);
-    std::uint64_t n = 0;
-    for (const auto &p : processes) {
-        if (p->_domain == domain)
-            n += p->fiber.switches();
-    }
     return n;
 }
 
@@ -182,21 +99,11 @@ Simulation::spawnImpl(std::string name, FiberBody body,
     auto proc = std::unique_ptr<Process>(
         new Process(*this, std::move(name), std::move(body), stack_bytes));
     Process *p = proc.get();
-    {
-        // Mid-run spawns (NIC service engines starting lazily) can
-        // land on worker threads; the table itself is cold.
-        std::lock_guard<std::mutex> lock(_processMutex);
-        processes.push_back(std::move(proc));
-    }
-    ExecContext *c = execContext();
-    if (c && c->sim == this)
-        p->_domain = c->process ? c->process->_domain : c->domainIdx;
-    else
-        p->_domain = _spawnDomainHint;
+    processes.push_back(std::move(proc));
     p->traceSpawnAt = now();
     p->state = Process::State::Suspended;
     p->resumeScheduled = true;
-    scheduleProcessEvent(p, 0, [this, p] {
+    queue.schedule(0, [this, p] {
         p->resumeScheduled = false;
         if (p->state == Process::State::Suspended)
             resumeProcess(p);
@@ -210,7 +117,7 @@ Simulation::delay(Tick d)
     Process *p = current();
     if (!p)
         panic("delay called outside a process");
-    scheduleProcessEvent(p, d, [this, p] { wake(p); });
+    queue.schedule(d, [this, p] { wake(p); });
     suspend();
 }
 
@@ -227,11 +134,9 @@ Simulation::suspend()
     if (trace_json::enabled())
         p->traceSuspendAt = now();
     p->state = Process::State::Suspended;
-    setCurrent(nullptr);
+    _current = nullptr;
     p->fiber.yield();
-    // Resumed — possibly on a different engine thread, so re-resolve
-    // the thread-local context rather than touching stale state.
-    setCurrent(p);
+    _current = p;
     p->state = Process::State::Running;
     if (trace_json::enabled() && p->traceSuspendAt != kTickNever &&
         now() > p->traceSuspendAt) {
@@ -255,7 +160,7 @@ Simulation::wake(Process *p)
     if (p->resumeScheduled)
         return;
     p->resumeScheduled = true;
-    scheduleProcessEvent(p, 0, [this, p] {
+    queue.schedule(0, [this, p] {
         p->resumeScheduled = false;
         if (p->state == Process::State::Suspended)
             resumeProcess(p);
@@ -267,7 +172,7 @@ Simulation::resumeProcess(Process *p)
 {
     if (current())
         panic("resumeProcess while another process is running");
-    setCurrent(p);
+    _current = p;
     p->state = Process::State::Running;
     p->fiber.resume();
     // The fiber either yielded (suspend updated the state already) or
@@ -281,7 +186,7 @@ Simulation::resumeProcess(Process *p)
                                       p->traceSpawnAt, now());
         }
     }
-    setCurrent(nullptr);
+    _current = nullptr;
 }
 
 } // namespace shrimp

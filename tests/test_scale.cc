@@ -6,9 +6,7 @@
  * panics, fatal env parses), route memoization must stay per-source
  * lazy, per-destination reliability stats must gate off on big
  * meshes, and — the load-bearing guarantee — results on bigger
- * meshes must stay bit-identical between serial and parallel
- * engines, exactly as the 4x4 matrix in test_parallel.cc proves for
- * the prototype geometry.
+ * meshes must stay bit-identical from one run to the next.
  *
  * The Fig 3 ordering gate rides along at the default 4x4: the
  * paper's headline ordering (NX/VMMC apps beat their SVM twins at 16
@@ -213,23 +211,21 @@ TEST(PerDestStats, PresentOnSmallMeshGatedOnBigMesh)
 }
 
 // ---------------------------------------------------------------------
-// Parallel identity on bigger meshes.
+// Repeat identity on bigger meshes.
 // ---------------------------------------------------------------------
 
 namespace
 {
 
 apps::AppResult
-runRadixOnMesh(int edge, int threads)
+runRadixOnMesh(int edge)
 {
     core::ClusterConfig cc;
     cc.meshWidth = edge;
     cc.meshHeight = edge;
-    cc.threads = threads;
-    // 64 ranks on both geometries keeps the test fast (256 fibers
-    // under the parallel engine are ucontext-switch-bound); what
-    // changes between the runs is exactly the geometry-dependent
-    // state this file polices.
+    // 64 ranks on both geometries keeps the test fast; what changes
+    // between the geometries is exactly the geometry-dependent state
+    // this file polices.
     const int procs = 64;
     apps::RadixConfig cfg;
     // VMMC page alignment needs >= 1024 keys per rank.
@@ -240,21 +236,21 @@ runRadixOnMesh(int edge, int threads)
 
 } // anonymous namespace
 
-TEST(ScaleIdentity, SerialVsParallelOn8x8And16x16)
+TEST(ScaleIdentity, RepeatedRunsAgreeOn8x8And16x16)
 {
-    ::unsetenv("SHRIMP_THREADS");
     ::unsetenv("SHRIMP_MESH");
     for (int edge : {8, 16}) {
         SCOPED_TRACE(testing::Message() << "mesh " << edge << "x"
                                         << edge);
-        apps::AppResult serial = runRadixOnMesh(edge, 1);
-        ASSERT_NE(serial.checksum, 0u);
-        apps::AppResult parallel = runRadixOnMesh(edge, 4);
-        EXPECT_EQ(parallel.checksum, serial.checksum);
-        EXPECT_EQ(parallel.elapsed, serial.elapsed);
-        EXPECT_EQ(parallel.hostEvents, serial.hostEvents);
-        EXPECT_EQ(apps::makeReport(parallel).toJson(true),
-                  apps::makeReport(serial).toJson(true));
+        apps::AppResult first = runRadixOnMesh(edge);
+        ASSERT_NE(first.checksum, 0u);
+        apps::AppResult again = runRadixOnMesh(edge);
+        EXPECT_EQ(again.checksum, first.checksum);
+        EXPECT_EQ(again.elapsed, first.elapsed);
+        EXPECT_EQ(again.hostEvents, first.hostEvents);
+        EXPECT_EQ(again.hostFiberSwitches, first.hostFiberSwitches);
+        EXPECT_EQ(apps::makeReport(again).toJson(true),
+                  apps::makeReport(first).toJson(true));
     }
 }
 
@@ -324,7 +320,6 @@ gateRadixSvm(const core::ClusterConfig &cc, int p)
 TEST(Fig3Gate, NxAndVmmcBeatSvmTwinsAt16Procs)
 {
     ::unsetenv("SHRIMP_MESH");
-    ::unsetenv("SHRIMP_THREADS");
     double ocean_nx = speedup16(gateOceanNx);
     double ocean_svm = speedup16(gateOceanSvm);
     double radix_vmmc = speedup16(gateRadixVmmc);

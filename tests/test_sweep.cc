@@ -1,8 +1,9 @@
 /**
  * @file
  * The parallel sweep runner: submission-ordered results, serial vs
- * parallel determinism, and byte-identical RunReport JSONL output
- * (the golden invariant every design-conclusion sweep rests on).
+ * parallel determinism, and byte-identical RunReport JSONL, causal
+ * log and Chrome trace output (the golden invariant every
+ * design-conclusion sweep rests on).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 
 #include "bench/bench_common.hh"
 #include "bench/sweep.hh"
+#include "sim/causal_read.hh"
+#include "sim/json_in.hh"
 
 using namespace shrimp;
 using namespace shrimp::bench;
@@ -63,6 +66,34 @@ sweepInto(const std::string &jsonl, const char *jobs_env)
     ::unsetenv("SHRIMP_REPORT_JSONL");
     ::unsetenv("SHRIMP_JOBS");
     return results;
+}
+
+/**
+ * Run a 4-job radix sweep in a child process with the recorder
+ * named by @p env writing to @p path — one sweep per process, as in
+ * a bench binary. The child's exit closes the recorder (the env
+ * opener registers that), and the Chrome trace's process-global
+ * track registry starts out the same in every child.
+ */
+void
+recordedSweep(const char *env, const std::string &path,
+              const char *jobs_env)
+{
+    std::remove(path.c_str());
+    EXPECT_EXIT(
+        {
+            ::setenv(env, path.c_str(), 1);
+            ::setenv("SHRIMP_JOBS", jobs_env, 1);
+            std::vector<std::function<int()>> jobs;
+            // Equal-length jobs on overlapping nodes, so four
+            // workers would run them side by side.
+            for (int p : {8, 8, 16, 16})
+                jobs.push_back(
+                    [p] { return int(smallRadix(p, 32 * 1024).nprocs); });
+            runSweep(std::move(jobs));
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
 }
 
 } // anonymous namespace
@@ -126,6 +157,42 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
 
     std::remove(serial_path.c_str());
     std::remove(parallel_path.c_str());
+}
+
+/**
+ * The causal log and the Chrome trace are process-global recorders
+ * opened from the environment. A sweep with either one on must open
+ * it before any job starts and run its jobs one at a time, so
+ * SHRIMP_JOBS=4 writes the same valid file as SHRIMP_JOBS=1.
+ */
+TEST(Sweep, RecordersAreByteIdenticalAcrossJobCounts)
+{
+    std::string dir = testing::TempDir();
+    std::string causal1 = dir + "sweep_causal_1.jsonl";
+    std::string causal4 = dir + "sweep_causal_4.jsonl";
+    recordedSweep("SHRIMP_CAUSAL", causal1, "1");
+    recordedSweep("SHRIMP_CAUSAL", causal4, "4");
+    std::string a = slurp(causal1);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(slurp(causal4), a);
+    causal_read::Log log;
+    std::string err;
+    ASSERT_TRUE(causal_read::load(causal4, log, &err)) << err;
+    EXPECT_TRUE(causal_read::validate(log, &err)) << err;
+    EXPECT_FALSE(log.spans.empty());
+
+    std::string trace1 = dir + "sweep_trace_1.json";
+    std::string trace4 = dir + "sweep_trace_4.json";
+    recordedSweep("SHRIMP_TRACE", trace1, "1");
+    recordedSweep("SHRIMP_TRACE", trace4, "4");
+    std::string t = slurp(trace1);
+    ASSERT_FALSE(t.empty());
+    EXPECT_EQ(slurp(trace4), t);
+    JsonValue doc;
+    EXPECT_TRUE(parseJson(slurp(trace4), doc, &err)) << err;
+
+    for (const std::string &p : {causal1, causal4, trace1, trace4})
+        std::remove(p.c_str());
 }
 
 TEST(Sweep, RepeatedRunsAreDeterministic)

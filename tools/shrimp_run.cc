@@ -16,12 +16,14 @@
  * --trace records a Chrome trace_event timeline (see README).
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "apps/barnes.hh"
@@ -107,11 +109,6 @@ usage(const char *argv0)
         "                     same knob)\n"
         "\n"
         "host execution:\n"
-        "  --threads N        worker threads for intra-run parallelism\n"
-        "                     (partition-safe workloads only; results\n"
-        "                     are bit-identical to --threads 1; the\n"
-        "                     SHRIMP_THREADS environment variable sets\n"
-        "                     the same knob)\n"
         "  --watchdog-secs N  soak watchdog: dump progress state to\n"
         "                     stderr when simulated time stalls for N\n"
         "                     real seconds (SIGUSR1 dumps on demand;\n"
@@ -139,7 +136,6 @@ struct Options
     std::string traceFile; //!< --trace destination, empty = off
     std::string causalFile; //!< --causal destination, empty = off
     std::string metricsFile; //!< --metrics destination, empty = off
-    bool threadsGiven = false; //!< --threads appeared explicitly
     bool meshGiven = false;    //!< --mesh appeared explicitly
     core::ClusterConfig cluster;
 
@@ -170,6 +166,26 @@ Options::parse(int argc, char **argv)
         }
         return p;
     };
+    // Integer flags parse strictly: the whole argument must be a
+    // decimal integer in [lo, hi], or the run stops here instead of
+    // dividing by a zero processor count downstream.
+    auto needInt = [&](int &i, long lo, long hi) -> int {
+        const char *flag = argv[i];
+        const char *v = need(i);
+        char *end = nullptr;
+        errno = 0;
+        long n = std::strtol(v, &end, 10);
+        if (end == v || *end != '\0' || errno == ERANGE || n < lo ||
+            n > hi) {
+            std::fprintf(stderr,
+                         "%s: %s wants an integer in [%ld, %ld], got "
+                         "'%s'\n",
+                         argv[0], flag, lo, hi, v);
+            usage(argv[0]);
+        }
+        return int(n);
+    };
+    constexpr long kIntMax = std::numeric_limits<int>::max();
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--app") {
@@ -179,7 +195,7 @@ Options::parse(int argc, char **argv)
                 std::printf("%s\n", name);
             std::exit(0);
         } else if (a == "--procs") {
-            o.procs = std::atoi(need(i));
+            o.procs = needInt(i, 1, mesh::kMaxMeshNodes);
         } else if (a == "--protocol") {
             o.protocolGiven = true;
             std::string p = need(i);
@@ -203,11 +219,11 @@ Options::parse(int argc, char **argv)
         } else if (a == "--keys") {
             o.keys = std::strtoull(need(i), nullptr, 10);
         } else if (a == "--grid") {
-            o.grid = std::atoi(need(i));
+            o.grid = needInt(i, 1, kIntMax);
         } else if (a == "--bodies") {
-            o.bodies = std::atoi(need(i));
+            o.bodies = needInt(i, 1, kIntMax);
         } else if (a == "--steps") {
-            o.steps = std::atoi(need(i));
+            o.steps = needInt(i, 1, kIntMax);
         } else if (a == "--seed") {
             o.seed = std::strtoull(need(i), nullptr, 10);
         } else if (a == "--mesh") {
@@ -238,9 +254,9 @@ Options::parse(int argc, char **argv)
             o.cluster.shrimpNic.combiningEnabled = false;
         } else if (a == "--fifo") {
             o.cluster.shrimpNic.outFifoBytes =
-                std::uint32_t(std::atoi(need(i)));
+                std::uint32_t(needInt(i, 1, kIntMax));
         } else if (a == "--du-queue") {
-            o.cluster.shrimpNic.duQueueDepth = std::atoi(need(i));
+            o.cluster.shrimpNic.duQueueDepth = needInt(i, 1, kIntMax);
         } else if (a == "--fault-drop-rate") {
             o.cluster.network.fault.dropRate = needRate(i);
         } else if (a == "--fault-corrupt-rate") {
@@ -279,11 +295,8 @@ Options::parse(int argc, char **argv)
                 microseconds(std::atof(need(i)));
         } else if (a == "--lifecycle") {
             o.cluster.lifecycleTracing = true;
-        } else if (a == "--threads") {
-            o.cluster.threads = std::atoi(need(i));
-            o.threadsGiven = true;
         } else if (a == "--watchdog-secs") {
-            o.cluster.watchdogSecs = std::atoi(need(i));
+            o.cluster.watchdogSecs = needInt(i, 0, kIntMax);
         } else {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
                          a.c_str());
@@ -446,8 +459,6 @@ main(int argc, char **argv)
                                o.cluster.meshHeight));
         if (!o.cluster.udmaSends)
             r.param("cli_no_udma", "1");
-        if (o.threadsGiven)
-            r.param("threads", core::clampThreads(o.cluster.threads));
         const auto &f = o.cluster.network.fault;
         if (f.reliabilityEnabled()) {
             r.param("cli_fault_drop_rate", f.dropRate);
@@ -469,7 +480,6 @@ main(int argc, char **argv)
                     ? double(r.hostEvents) / r.hostWallSeconds
                     : 0;
             rep.host.fiberSwitches = r.hostFiberSwitches;
-            rep.host.partitions = r.engineStats;
             fillHostRusage(rep.host);
         }
         rep.writeFile(o.statsJson);
