@@ -2,8 +2,9 @@
  * @file
  * Host-side performance of the simulation substrate itself (google-
  * benchmark): event throughput, fiber context switches, mesh packet
- * routing, and VMMC small-message rate. Useful for spotting
- * regressions that would make the experiment suite slow.
+ * routing, VMMC small-message rate and the OPT's automatic-update
+ * bindings. Useful for spotting regressions that would make the
+ * experiment suite slow.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 
 #include "core/vmmc.hh"
 #include "mesh/network.hh"
+#include "nic/page_tables.hh"
 #include "sim/simulation.hh"
 
 using namespace shrimp;
@@ -323,6 +325,39 @@ BM_VmmcSmallMessages(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_VmmcSmallMessages);
+
+/**
+ * The OPT's automatic-update bindings as one node of a 256-rank NX
+ * domain sets them up: 255 binds of a 32-page staging ring each, one
+ * per peer. Then range(0) lookups at a 97-page stride, the snoop
+ * check every AU store makes; one in 33 falls past the last binding.
+ * Arg 0 times set-up alone.
+ */
+void
+BM_OptAuBindAndLookup(benchmark::State &state)
+{
+    constexpr node::Frame kBase = 1024;
+    constexpr node::Frame kPages = 32;
+    constexpr int kPeers = 255;
+    constexpr node::Frame kSpan = (kPeers + 1) * kPages;
+    const std::int64_t lookups = state.range(0);
+    for (auto _ : state) {
+        nic::OutgoingPageTable opt;
+        for (int p = 0; p < kPeers; ++p)
+            opt.bindAu(kBase + node::Frame(p) * kPages, kPages,
+                       NodeId(p + 1), 4096, true, false);
+        std::uint64_t hits = 0;
+        node::Frame f = 0;
+        for (std::int64_t i = 0; i < lookups; ++i) {
+            f = (f + 97) % kSpan;
+            if (auto e = opt.auBinding(kBase + f))
+                hits += e->dstFrame;
+        }
+        benchmark::DoNotOptimize(hits);
+    }
+    state.SetItemsProcessed(state.iterations() * lookups);
+}
+BENCHMARK(BM_OptAuBindAndLookup)->Arg(0)->Arg(1 << 16);
 
 } // anonymous namespace
 

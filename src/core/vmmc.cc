@@ -249,13 +249,9 @@ Endpoint::bindAu(void *local_base, ProxyId proxy, std::size_t dst_offset,
     if (first_dst_page + pages > imp.record->pages)
         fatal("bindAu: binding overruns the receive buffer");
 
-    node::Frame local0 = mem.frameOf(local_base);
-    for (std::size_t i = 0; i < pages; ++i) {
-        _nic.bindAu(local0 + node::Frame(i), imp.record->owner,
-                    imp.record->baseFrame +
-                        node::Frame(first_dst_page + i),
-                    combining, notify);
-    }
+    _nic.bindAu(mem.frameOf(local_base), pages, imp.record->owner,
+                imp.record->baseFrame + node::Frame(first_dst_page),
+                combining, notify);
 
     // OPT reprogramming is kernel work.
     _node.cpu().compute(_node.params().syscallCost +
@@ -267,12 +263,9 @@ Endpoint::bindAu(void *local_base, ProxyId proxy, std::size_t dst_offset,
 void
 Endpoint::unbindAu(void *local_base, std::size_t bytes)
 {
-    auto &mem = _node.mem();
-    node::Frame local0 = mem.frameOf(local_base);
     std::size_t pages =
         (bytes + node::kPageBytes - 1) / node::kPageBytes;
-    for (std::size_t i = 0; i < pages; ++i)
-        _nic.unbindAu(local0 + node::Frame(i));
+    _nic.unbindAu(_node.mem().frameOf(local_base), pages);
 }
 
 void

@@ -238,7 +238,8 @@ NxProcess::drainRingFrom(int src)
         cpu.chargeAccess(2);
         const auto *hdr =
             reinterpret_cast<const MsgHeader *>(ring.base + off);
-        if (hdr->seq != ring.nextSeq)
+        ring.idle = hdr->seq != ring.nextSeq;
+        if (ring.idle)
             break;
 
         if (hdr->type == kWrapType) {
@@ -290,10 +291,31 @@ NxProcess::sendCredits(int src)
 void
 NxProcess::drainRings()
 {
+    core::Endpoint &ep = dom.cluster.vmmc(rank);
+    const nic::NicBase &nic = ep.nic();
+    auto &cpu = ep.node().cpu();
+    // Skipped header reads are charged in one sum, always before the
+    // next real drain: a drain may block in sendCredits(), and the
+    // CPU's pending work must then be what per-ring charging gives.
+    std::uint64_t skipped = 0;
     for (int src = 0; src < dom.config.nprocs; ++src) {
-        if (src != rank)
-            drainRingFrom(src);
+        if (src == rank)
+            continue;
+        NxDomain::InRing &ring = dom.inRings[rank][src];
+        std::uint64_t arrived = nic.arrivals(NodeId(src));
+        if (ring.idle && ring.seenArrivals == arrived) {
+            skipped += 2;
+            continue;
+        }
+        if (skipped) {
+            cpu.chargeAccess(skipped);
+            skipped = 0;
+        }
+        ring.seenArrivals = arrived;
+        drainRingFrom(src);
     }
+    if (skipped)
+        cpu.chargeAccess(skipped);
 }
 
 std::size_t

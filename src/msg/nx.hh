@@ -123,6 +123,12 @@ class NxProcess
         std::vector<char> data;
     };
 
+    /**
+     * Poll every peer's ring. A ring whose last drain stopped at a
+     * stale header, and from whose peer nothing has landed since
+     * (NicBase::arrivals), would read that same header again: it is
+     * skipped, and only the header read's cost is charged.
+     */
     void drainRings();
     bool drainRingFrom(int src);
     void sendCredits(int src);
@@ -181,6 +187,11 @@ class NxDomain
         std::uint32_t nextSeq = 1;
         std::uint64_t consumed = 0;  //!< total consumed bytes
         std::uint64_t creditsSent = 0;
+
+        /** The NIC's arrival count from the peer before the last drain. */
+        std::uint64_t seenArrivals = 0;
+        /** The last drain stopped at a header not yet written. */
+        bool idle = false;
     };
 
     /** Sender-side state for one outgoing pair ring. */

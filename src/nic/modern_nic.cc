@@ -206,6 +206,7 @@ ModernNic::receive(const mesh::Packet &pkt)
         std::memcpy(
             static_cast<char *>(mem.ptrOf(du2.dstFrame, du2.dstOffset)),
             du2.data.data(), du2.data.size());
+        noteArrival(du2.srcNode);
 
         Delivery d;
         d.srcNode = du2.srcNode;

@@ -24,13 +24,14 @@ NicBase::NicBase(node::Node &n, mesh::Network &net, const Config &cfg)
 }
 
 void
-NicBase::bindAu(node::Frame, NodeId, node::Frame, bool, bool)
+NicBase::bindAu(node::Frame, std::size_t, NodeId, node::Frame, bool,
+                bool)
 {
     fatal("this network interface does not support automatic update");
 }
 
 void
-NicBase::unbindAu(node::Frame)
+NicBase::unbindAu(node::Frame, std::size_t)
 {
     fatal("this network interface does not support automatic update");
 }

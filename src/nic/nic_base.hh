@@ -34,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "mesh/network.hh"
 #include "nic/nic_kind.hh"
@@ -275,16 +276,16 @@ class NicBase
     }
 
     /**
-     * Bind local physical page @p local for automatic update to
-     * (@p dst_node, @p dst_frame). Only on adapters with
-     * caps().autoUpdate.
+     * Bind local physical pages [@p local, @p local + @p pages) for
+     * automatic update to consecutive frames from @p dst_frame on
+     * @p dst_node. Only on adapters with caps().autoUpdate.
      */
     virtual void
-    bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
-           bool combining, bool interrupt_request);
+    bindAu(node::Frame local, std::size_t pages, NodeId dst_node,
+           node::Frame dst_frame, bool combining, bool interrupt_request);
 
-    /** Remove an AU binding. */
-    virtual void unbindAu(node::Frame local);
+    /** Remove the AU bindings of [@p local, @p local + @p pages). */
+    virtual void unbindAu(node::Frame local, std::size_t pages);
 
     // ------------------------------------------------------------------
     // Data movement
@@ -332,6 +333,19 @@ class NicBase
     void setNotifyHook(NotifyHook h) { notifyHook = std::move(h); }
 
     /**
+     * Data packets from @p src whose payload has been written into
+     * this node's memory (0 if none yet). Counted at the write, not
+     * at the deliver hook, which a per-message interrupt or a
+     * coalesced completion queue may run later: a poller that sees
+     * this count unchanged knows no byte from @p src has landed.
+     */
+    std::uint64_t
+    arrivals(NodeId src) const
+    {
+        return src < arrivalCount.size() ? arrivalCount[src] : 0;
+    }
+
+    /**
      * Arrival count of notifiable writes carrying @p id (0 if none
      * ever landed). Only on adapters with caps().batchedNotify.
      */
@@ -359,6 +373,15 @@ class NicBase
      * (the only kind the subclass ever sees). Event context.
      */
     virtual void receive(const mesh::Packet &pkt) = 0;
+
+    /** Count a packet from @p src as written into node memory. */
+    void
+    noteArrival(NodeId src)
+    {
+        if (src >= arrivalCount.size())
+            arrivalCount.resize(std::size_t(src) + 1, 0);
+        ++arrivalCount[src];
+    }
 
     node::Node &_node;
     mesh::Network &_net;
@@ -440,6 +463,9 @@ class NicBase
 
     /** Cached trace track id ("<node>.rel"), fault mode only. */
     int relTrack();
+
+    /** Per-source arrival counts (arrivals()), grown on first use. */
+    std::vector<std::uint64_t> arrivalCount;
 
     bool _reliable = false;
     ReliabilityParams _rel;

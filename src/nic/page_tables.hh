@@ -16,7 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -53,6 +53,8 @@ struct OptEntry
  * consecutive destination frames on one node, and indices are never
  * reused. The host therefore stores one run per import rather than
  * one entry per page; the simulated NIC still sees a per-page table.
+ * Automatic-update bindings are kept the same way: one run per bind
+ * of consecutive local pages to consecutive remote frames.
  */
 class OutgoingPageTable
 {
@@ -105,33 +107,109 @@ class OutgoingPageTable
     }
 
     /**
-     * Configure the entry corresponding to local physical page
-     * @p local for automatic update (the 1:1 physical-page binding).
+     * Configure the entries of local physical pages [@p local,
+     * @p local + @p pages) for automatic update (the 1:1
+     * physical-page binding): page i maps to @p dst_frame + i on
+     * @p dst_node. Replaces any binding the range overlaps.
      */
     void
-    bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
-           bool combining, bool interrupt_request)
+    bindAu(node::Frame local, std::size_t pages, NodeId dst_node,
+           node::Frame dst_frame, bool combining, bool interrupt_request)
     {
-        auBindings[local] = OptEntry{dst_node, dst_frame, true,
-                                     combining, interrupt_request};
+        if (pages == 0)
+            return;
+        unbindAu(local, pages);
+        auRuns.insert(auRuns.begin() + auRunsBefore(local),
+                      AuRun{local, node::Frame(pages), dst_node,
+                            dst_frame, combining, interrupt_request});
+        auPages += pages;
+        auDirStale = true;
     }
-
-    /** Disable automatic update on local page @p local. */
-    void unbindAu(node::Frame local) { auBindings.erase(local); }
 
     /**
-     * @return the AU binding for local page @p local, or nullptr when
-     * writes to the page are snooped but ignored.
+     * Disable automatic update on local pages [@p local,
+     * @p local + @p pages); runs that straddle either end are split.
      */
-    const OptEntry *
-    auBinding(node::Frame local) const
+    void
+    unbindAu(node::Frame local, std::size_t pages)
     {
-        auto it = auBindings.find(local);
-        return it == auBindings.end() ? nullptr : &it->second;
+        if (pages == 0)
+            return;
+        if (pages > std::size_t(node::kInvalidFrame - local))
+            panic("OPT unbindAu: %zu pages from frame %u overflow",
+                  pages, local);
+        const node::Frame end = local + node::Frame(pages);
+        // Runs are sorted and disjoint, so [i, j) are the ones that
+        // overlap [local, end).
+        auto ends_before = [local](const AuRun &r) {
+            return r.first + r.pages <= local;
+        };
+        std::size_t i = std::size_t(
+            std::partition_point(auRuns.begin(), auRuns.end(),
+                                 ends_before) -
+            auRuns.begin());
+        std::size_t j = auRunsBefore(end);
+        if (i >= j)
+            return;
+
+        AuRun pieces[2];
+        int kept = 0;
+        AuRun head = auRuns[i];
+        if (head.first < local) {
+            head.pages = local - head.first;
+            pieces[kept++] = head;
+        }
+        AuRun tail = auRuns[j - 1];
+        if (tail.first + tail.pages > end) {
+            tail.pages = tail.first + tail.pages - end;
+            tail.dstFrame += end - tail.first;
+            tail.first = end;
+            pieces[kept++] = tail;
+        }
+        for (std::size_t k = i; k < j; ++k)
+            auPages -= auRuns[k].pages;
+        for (int k = 0; k < kept; ++k)
+            auPages += pieces[k].pages;
+        auRuns.erase(auRuns.begin() + i, auRuns.begin() + j);
+        auRuns.insert(auRuns.begin() + i, pieces, pieces + kept);
+        auDirStale = true;
     }
 
-    /** Number of live AU bindings. */
-    std::size_t auBindingCount() const { return auBindings.size(); }
+    /**
+     * @return the AU binding of local page @p local, or nothing when
+     * writes to the page are snooped but ignored.
+     */
+    std::optional<OptEntry>
+    auBinding(node::Frame local) const
+    {
+        if (auDirStale)
+            rebuildAuDir();
+        if (auRuns.empty() || local < auDirBase)
+            return std::nullopt;
+        // Runs [lo, hi) start in local's bucket; those before lo start
+        // at or below it, those from hi on above it.
+        std::size_t b = (local - auDirBase) >> auDirShift;
+        std::size_t lo = auRuns.size(), hi = lo;
+        if (b + 1 < auDir.size()) {
+            lo = auDir[b];
+            hi = auDir[b + 1];
+        }
+        std::size_t k = std::size_t(
+            std::partition_point(
+                auRuns.begin() + lo, auRuns.begin() + hi,
+                [local](const AuRun &r) { return r.first <= local; }) -
+            auRuns.begin());
+        if (k == 0)
+            return std::nullopt;
+        const AuRun &run = auRuns[k - 1];
+        if (local - run.first >= run.pages)
+            return std::nullopt;
+        return OptEntry{run.dstNode, run.dstFrame + (local - run.first),
+                        true, run.combining, run.interruptRequest};
+    }
+
+    /** Number of pages with a live AU binding. */
+    std::size_t auBindingCount() const { return auPages; }
 
     /** Number of allocated proxy entries (pages, not imports). */
     std::size_t proxyCount() const { return nextIndex; }
@@ -157,9 +235,71 @@ class OutgoingPageTable
         return std::size_t(it - runs.begin()) - 1;
     }
 
+    /** AU bindings of local pages first, first + 1, ... */
+    struct AuRun
+    {
+        node::Frame first;
+        node::Frame pages;
+        NodeId dstNode;
+        node::Frame dstFrame; //!< destination of page first
+        bool combining;
+        bool interruptRequest;
+    };
+
+    /** Number of AU runs that start below @p frame. */
+    std::size_t
+    auRunsBefore(node::Frame frame) const
+    {
+        return std::size_t(
+            std::partition_point(
+                auRuns.begin(), auRuns.end(),
+                [frame](const AuRun &r) { return r.first < frame; }) -
+            auRuns.begin());
+    }
+
+    /**
+     * Rebuild the lookup directory: buckets of 2^auDirShift pages
+     * from the first run's start, at most about two per run, and
+     * entry b is the number of runs that start below bucket b.
+     */
+    void
+    rebuildAuDir() const
+    {
+        auDirStale = false;
+        auDir.clear();
+        if (auRuns.empty())
+            return;
+        auDirBase = auRuns.front().first;
+        const std::uint64_t span = auRuns.back().first - auDirBase + 1;
+        auDirShift = 0;
+        while ((span >> auDirShift) > 2 * auRuns.size())
+            ++auDirShift;
+        const std::size_t buckets = ((span - 1) >> auDirShift) + 1;
+        auDir.resize(buckets + 1);
+        std::size_t k = 0;
+        for (std::size_t b = 0; b <= buckets; ++b) {
+            std::uint64_t start =
+                auDirBase + (std::uint64_t(b) << auDirShift);
+            while (k < auRuns.size() && auRuns[k].first < start)
+                ++k;
+            auDir[b] = std::uint32_t(k);
+        }
+    }
+
     std::vector<ProxyRun> runs;
     OptIndex nextIndex = 0;
-    std::unordered_map<node::Frame, OptEntry> auBindings;
+
+    /** Sorted by first local page; runs never overlap. */
+    std::vector<AuRun> auRuns;
+    std::size_t auPages = 0;
+
+    // The snoop check's directory over auRuns, rebuilt by the first
+    // lookup after a bind or unbind (set-up binds in bulk, then
+    // stores look up).
+    mutable std::vector<std::uint32_t> auDir;
+    mutable node::Frame auDirBase = 0;
+    mutable unsigned auDirShift = 0;
+    mutable bool auDirStale = false;
 };
 
 /**

@@ -53,23 +53,29 @@ ShrimpNic::traceTrack()
 }
 
 void
-ShrimpNic::bindAu(node::Frame local, NodeId dst_node,
+ShrimpNic::bindAu(node::Frame local, std::size_t pages, NodeId dst_node,
                   node::Frame dst_frame, bool combining,
                   bool interrupt_request)
 {
-    _opt.bindAu(local, dst_node, dst_frame,
+    _opt.bindAu(local, pages, dst_node, dst_frame,
                 combining && _params.combiningEnabled, interrupt_request);
 }
 
 void
-ShrimpNic::unbindAu(node::Frame local)
+ShrimpNic::unbindAu(node::Frame local, std::size_t pages)
 {
-    auto it = trainIndex.find(local);
-    if (it != trainIndex.end()) {
+    // Open trains in the range flush in page order.
+    std::vector<node::Frame> open;
+    for (const auto &[frame, idx] : trainIndex)
+        if (frame >= local && frame - local < pages)
+            open.push_back(frame);
+    std::sort(open.begin(), open.end());
+    for (node::Frame frame : open) {
+        auto it = trainIndex.find(frame);
         flushTrain(trainOrder[it->second]);
         trainIndex.erase(it);
     }
-    _opt.unbindAu(local);
+    _opt.unbindAu(local, pages);
 }
 
 void
@@ -207,7 +213,7 @@ ShrimpNic::auStore(const void *src, std::uint32_t bytes)
 {
     auto &mem = _node.mem();
     node::Frame frame = mem.frameOf(src);
-    const OptEntry *entry = _opt.auBinding(frame);
+    const std::optional<OptEntry> entry = _opt.auBinding(frame);
     if (!entry) {
         // Snooped, but the OPT entry is not AU-enabled: ignored.
         return;
@@ -486,6 +492,7 @@ ShrimpNic::receive(const mesh::Packet &pkt)
             std::memcpy(static_cast<char *>(
                             mem.ptrOf(du->dstFrame, du->dstOffset)),
                         du->data.data(), du->data.size());
+            noteArrival(du->srcNode);
             d.srcNode = du->srcNode;
             d.frame = du->dstFrame;
             d.offset = du->dstOffset;
@@ -504,6 +511,7 @@ ShrimpNic::receive(const mesh::Packet &pkt)
             for (const auto &w : au.writes)
                 std::memcpy(page + w.offset, au.data.data() + w.dataIndex,
                             w.bytes);
+            noteArrival(au.srcNode);
             if (au.applied)
                 au.applied();
             d.srcNode = au.srcNode;

@@ -103,10 +103,12 @@ class ShrimpNic : public NicBase
         return c;
     }
 
-    void bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
-                bool combining, bool interrupt_request) override;
+    void bindAu(node::Frame local, std::size_t pages, NodeId dst_node,
+                node::Frame dst_frame, bool combining,
+                bool interrupt_request) override;
 
-    void unbindAu(node::Frame local) override;
+    /** Flushes the open train of every page in the range first. */
+    void unbindAu(node::Frame local, std::size_t pages) override;
 
     void post(const SendDesc &req) override;
 

@@ -1,5 +1,6 @@
 #include "sim/watchdog.hh"
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -12,14 +13,19 @@ namespace
 
 /**
  * SIGUSR1 just raises this flag; the watchdog thread polls it every
- * wait step and performs the (non-async-safe) dump itself.
+ * wait step and performs the (non-async-safe) dump itself. The flag
+ * is shared between a signal handler and another thread, so it must
+ * be an atomic (volatile orders neither) and lock-free (a handler
+ * may not take a lock).
  */
-volatile std::sig_atomic_t g_dump_requested = 0;
+std::atomic<bool> g_dump_requested{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the SIGUSR1 flag must be async-signal-safe");
 
 void
 onSigusr1(int)
 {
-    g_dump_requested = 1;
+    g_dump_requested.store(true, std::memory_order_relaxed);
 }
 
 } // anonymous namespace
@@ -78,8 +84,7 @@ Watchdog::loop()
                                                     last_progress)
                           .count();
 
-        if (g_dump_requested) {
-            g_dump_requested = 0;
+        if (g_dump_requested.exchange(false, std::memory_order_relaxed)) {
             dump(cur, false, idle);
         } else if (idle >= double(stallSecs)) {
             dump(cur, true, idle);

@@ -394,15 +394,20 @@ SvmRuntime::init(int rank)
         if (!nic.supportsAutomaticUpdate())
             fatal("protocol %s needs an AU-capable NIC",
                   protocolName(cfg.protocol));
+        // One binding per run of consecutive pages with one home.
         node::Frame my0 = mem.frameOf(replicas[rank]);
-        for (PageId p = 0; p < pageCount; ++p) {
+        for (PageId p = 0; p < pageCount;) {
             int h = homes[p];
-            if (h == rank)
-                continue;
-            node::Frame home0 =
-                cluster.node(h).mem().frameOf(replicas[h]);
-            nic.bindAu(my0 + p, NodeId(h), home0 + p,
-                       cfg.auCombining, false);
+            PageId q = p + 1;
+            while (q < pageCount && homes[q] == h)
+                ++q;
+            if (h != rank) {
+                node::Frame home0 =
+                    cluster.node(h).mem().frameOf(replicas[h]);
+                nic.bindAu(my0 + p, q - p, NodeId(h), home0 + p,
+                           cfg.auCombining, false);
+            }
+            p = q;
         }
         ep.node().cpu().compute(
             ep.node().params().syscallCost +

@@ -31,6 +31,15 @@ done
 for value in -1 abc 3s 99999999999; do
     expect_rejected --watchdog-secs "$value"
 done
+# 64-bit flags: no sign, no trailing text, no overflow; --keys >= 1.
+for value in 0 -2 abc 12abc "" " 5" +5; do
+    expect_rejected --keys "$value"
+done
+for flag in --seed --fault-seed; do
+    for value in -1 abc 12abc "" +5 18446744073709551616; do
+        expect_rejected "$flag" "$value"
+    done
+done
 # More processors than the largest mesh can hold.
 expect_rejected --procs 65537
 # Intra-run threads are gone; the flag is an unknown option now.

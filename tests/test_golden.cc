@@ -1,10 +1,11 @@
 /**
  * @file
- * Golden-file regression tests: two pinned runs must reproduce their
+ * Golden-file regression tests: pinned runs must reproduce their
  * checked-in observability artifacts byte for byte — the RunReport
- * JSON of a fault-plane run and the flight-recorder metrics JSONL of
- * a fault-free run. Any datapath "optimization" that perturbs either
- * file changed simulated behaviour, not just host speed.
+ * JSON of a fault-plane run, the flight-recorder metrics JSONL of a
+ * fault-free run, and the RunReports of the NX and AU-bound SVM runs
+ * on all three NICs. Any datapath "optimization" that perturbs these
+ * files changed simulated behaviour, not just host speed.
  *
  * The files live in tests/golden/ (path baked in via the
  * SHRIMP_TEST_GOLDEN_DIR compile definition). To regenerate after an
@@ -24,6 +25,8 @@
 #include <string>
 
 #include "apps/app_common.hh"
+#include "apps/barnes.hh"
+#include "apps/ocean.hh"
 #include "apps/radix.hh"
 #include "sim/metrics.hh"
 #include "sim/run_report.hh"
@@ -135,4 +138,47 @@ TEST(Golden, MetricsJsonlIsByteStable)
     std::ostringstream ss;
     r.metrics.writeJsonl(ss, r.name, r.metricsInterval);
     checkGolden("radix_metrics.jsonl", ss.str());
+}
+
+/**
+ * The NX ring-polling and AU-binding paths: Ocean-NX and Barnes-NX
+ * with deliberate update on every NIC and automatic update on the
+ * SHRIMP NIC, both transports with a per-message interrupt (the
+ * deliver hook runs a handler's time after the data lands), and
+ * Ocean-SVM under AURC, whose page bindings go straight to the OPT.
+ * One compact RunReport per line.
+ */
+TEST(Golden, NxAndAuSvmReportsAreByteStable)
+{
+    apps::OceanConfig ocean;
+    ocean.n = 34;
+    ocean.iterations = 4;
+    apps::BarnesConfig barnes;
+    barnes.bodies = 128;
+    barnes.timesteps = 2;
+
+    std::string lines;
+    auto add = [&lines](const apps::AppResult &r) {
+        ASSERT_NE(r.checksum, 0u) << r.name;
+        lines += apps::makeReport(r).toJson(false);
+        lines += '\n';
+    };
+    for (auto kind : {core::NicKind::Shrimp, core::NicKind::Baseline,
+                      core::NicKind::Modern}) {
+        core::ClusterConfig cc;
+        cc.nicKind = kind;
+        add(apps::runOceanNx(cc, /*use_au=*/false, 16, ocean));
+        add(apps::runBarnesNx(cc, /*use_au=*/false, 16, barnes));
+    }
+    core::ClusterConfig shrimp;
+    add(apps::runOceanNx(shrimp, /*use_au=*/true, 16, ocean));
+    add(apps::runBarnesNx(shrimp, /*use_au=*/true, 16, barnes));
+
+    core::ClusterConfig irq;
+    irq.shrimpNic.interruptPerMessage = true;
+    add(apps::runOceanNx(irq, /*use_au=*/false, 16, ocean));
+    add(apps::runOceanNx(irq, /*use_au=*/true, 16, ocean));
+
+    add(apps::runOceanSvm(shrimp, svm::Protocol::AURC, 16, ocean));
+    checkGolden("nx_au_svm_reports.jsonl", lines);
 }

@@ -16,6 +16,7 @@
 #include "nic/nic_kind.hh"
 #include "nic/shrimp_nic.hh"
 #include "node/node.hh"
+#include "sim/random.hh"
 
 using namespace shrimp;
 using namespace shrimp::nic;
@@ -86,13 +87,151 @@ TEST(PageTables, IndexPastLastRunPanics)
 TEST(PageTables, AuBindingLifecycle)
 {
     OutgoingPageTable opt;
-    EXPECT_EQ(opt.auBinding(7), nullptr);
-    opt.bindAu(7, 2, 40, /*combining=*/true, /*irq=*/false);
-    ASSERT_NE(opt.auBinding(7), nullptr);
+    EXPECT_FALSE(opt.auBinding(7));
+    opt.bindAu(7, 1, 2, 40, /*combining=*/true, /*irq=*/false);
+    ASSERT_TRUE(opt.auBinding(7));
     EXPECT_EQ(opt.auBinding(7)->dstFrame, 40u);
     EXPECT_TRUE(opt.auBinding(7)->combining);
-    opt.unbindAu(7);
-    EXPECT_EQ(opt.auBinding(7), nullptr);
+    opt.unbindAu(7, 1);
+    EXPECT_FALSE(opt.auBinding(7));
+}
+
+TEST(PageTables, AuRunCoversEveryPageAndNoMore)
+{
+    OutgoingPageTable opt;
+    opt.bindAu(100, 32, 5, 800, /*combining=*/false, /*irq=*/true);
+    EXPECT_EQ(opt.auBindingCount(), 32u);
+    for (node::Frame i = 0; i < 32; ++i) {
+        auto e = opt.auBinding(100 + i);
+        ASSERT_TRUE(e) << i;
+        EXPECT_EQ(e->dstNode, 5u);
+        EXPECT_EQ(e->dstFrame, 800u + i);
+        EXPECT_TRUE(e->auEnabled);
+        EXPECT_FALSE(e->combining);
+        EXPECT_TRUE(e->interruptRequest);
+    }
+    EXPECT_FALSE(opt.auBinding(99));
+    EXPECT_FALSE(opt.auBinding(132));
+
+    // A second run right after the first keeps its own destination.
+    opt.bindAu(132, 2, 6, 10, true, false);
+    EXPECT_EQ(opt.auBinding(131)->dstNode, 5u);
+    EXPECT_EQ(opt.auBinding(132)->dstNode, 6u);
+    EXPECT_EQ(opt.auBinding(133)->dstFrame, 11u);
+    EXPECT_FALSE(opt.auBinding(134));
+    EXPECT_EQ(opt.auBindingCount(), 34u);
+
+    opt.bindAu(0, 0, 1, 1, true, false); // empty: no-op
+    EXPECT_EQ(opt.auBindingCount(), 34u);
+}
+
+TEST(PageTables, AuSubRangeUnbindSplitsARun)
+{
+    OutgoingPageTable opt;
+    opt.bindAu(10, 10, 3, 50, true, false); // 10..19 -> 50..59
+    opt.unbindAu(13, 4);                    // drop 13..16
+    EXPECT_EQ(opt.auBindingCount(), 6u);
+    for (node::Frame f = 10; f < 20; ++f) {
+        bool hole = f >= 13 && f < 17;
+        auto e = opt.auBinding(f);
+        EXPECT_EQ(bool(e), !hole) << f;
+        if (e) {
+            EXPECT_EQ(e->dstFrame, 50u + (f - 10)) << f;
+        }
+    }
+
+    // Unbinding across both remaining pieces trims each.
+    opt.unbindAu(11, 8); // drop 11..18
+    EXPECT_EQ(opt.auBindingCount(), 2u);
+    EXPECT_EQ(opt.auBinding(10)->dstFrame, 50u);
+    EXPECT_FALSE(opt.auBinding(11));
+    EXPECT_FALSE(opt.auBinding(18));
+    EXPECT_EQ(opt.auBinding(19)->dstFrame, 59u);
+
+    // Unbinding pages that were never bound changes nothing.
+    opt.unbindAu(30, 5);
+    EXPECT_EQ(opt.auBindingCount(), 2u);
+}
+
+TEST(PageTables, AuOverlappingRebindReplacesTheOldBinding)
+{
+    OutgoingPageTable opt;
+    opt.bindAu(0, 8, 1, 100, true, false);   // 0..7 -> node 1
+    opt.bindAu(20, 4, 2, 200, true, false);  // 20..23 -> node 2
+    opt.bindAu(6, 16, 3, 300, false, true);  // 6..21 -> node 3
+    EXPECT_EQ(opt.auBindingCount(), 6u + 16u + 2u);
+    for (node::Frame f = 0; f < 6; ++f)
+        EXPECT_EQ(opt.auBinding(f)->dstFrame, 100u + f);
+    for (node::Frame f = 6; f < 22; ++f) {
+        auto e = opt.auBinding(f);
+        ASSERT_TRUE(e) << f;
+        EXPECT_EQ(e->dstNode, 3u);
+        EXPECT_EQ(e->dstFrame, 300u + (f - 6));
+        EXPECT_FALSE(e->combining);
+    }
+    EXPECT_EQ(opt.auBinding(22)->dstFrame, 202u);
+    EXPECT_EQ(opt.auBinding(23)->dstNode, 2u);
+
+    // Rebinding the same range in place keeps the page count.
+    opt.bindAu(6, 16, 4, 400, true, false);
+    EXPECT_EQ(opt.auBindingCount(), 24u);
+    EXPECT_EQ(opt.auBinding(21)->dstFrame, 415u);
+}
+
+TEST(PageTables, AuRunsMatchAPerPageModel)
+{
+    // Random binds and unbinds, clustered low plus a far outlier so
+    // the lookup directory gets uneven buckets, checked page by page
+    // against a plain per-page table after every step.
+    constexpr node::Frame kFar = 1u << 20;
+    constexpr node::Frame kLow = 600;
+    struct Page
+    {
+        bool bound = false;
+        NodeId node = 0;
+        node::Frame frame = 0;
+    };
+    std::vector<Page> model(kLow);
+    Page far;
+    OutgoingPageTable opt;
+    Random rng(11);
+    std::size_t bound_pages = 0;
+    for (int step = 0; step < 400; ++step) {
+        node::Frame first = node::Frame(rng.below(kLow));
+        std::size_t pages = 1 + rng.below(std::min<std::uint64_t>(
+                                    40, kLow - first));
+        bool bind = rng.below(3) != 0;
+        if (step == 200) {
+            opt.bindAu(kFar, 1, 9, 7, true, false);
+            far = Page{true, 9, 7};
+        }
+        if (bind) {
+            NodeId n = NodeId(rng.below(16));
+            node::Frame dst = node::Frame(rng.below(10000));
+            opt.bindAu(first, pages, n, dst, true, false);
+            for (std::size_t i = 0; i < pages; ++i)
+                model[first + i] = Page{true, n, dst + node::Frame(i)};
+        } else {
+            opt.unbindAu(first, pages);
+            for (std::size_t i = 0; i < pages; ++i)
+                model[first + i].bound = false;
+        }
+        bound_pages = far.bound;
+        for (node::Frame f = 0; f < kLow; ++f) {
+            auto e = opt.auBinding(f);
+            ASSERT_EQ(bool(e), model[f].bound) << "step " << step
+                                               << " frame " << f;
+            if (e) {
+                ASSERT_EQ(e->dstNode, model[f].node) << f;
+                ASSERT_EQ(e->dstFrame, model[f].frame) << f;
+            }
+            bound_pages += model[f].bound;
+        }
+        ASSERT_EQ(bool(opt.auBinding(kFar)), far.bound);
+        ASSERT_FALSE(opt.auBinding(kFar + 1));
+        ASSERT_FALSE(opt.auBinding(kFar - 1));
+        ASSERT_EQ(opt.auBindingCount(), bound_pages) << step;
+    }
 }
 
 TEST(PageTables, IptInterruptBits)
@@ -255,7 +394,7 @@ TEST(ShrimpNic, AuTrainCountsUncombinedPackets)
     NicHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     char *local = static_cast<char *>(h.n0.mem().alloc(4096, true));
-    h.nic0.bindAu(h.n0.mem().frameOf(local), 1,
+    h.nic0.bindAu(h.n0.mem().frameOf(local), 1, 1,
                   h.n1.mem().frameOf(dst), /*combining=*/false,
                   false);
 
@@ -289,7 +428,7 @@ TEST(ShrimpNic, CombiningMergesConsecutiveStores)
     NicHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     char *local = static_cast<char *>(h.n0.mem().alloc(4096, true));
-    h.nic0.bindAu(h.n0.mem().frameOf(local), 1,
+    h.nic0.bindAu(h.n0.mem().frameOf(local), 1, 1,
                   h.n1.mem().frameOf(dst), /*combining=*/true, false);
 
     h.sim.spawn("p", [&] {
@@ -310,7 +449,7 @@ TEST(ShrimpNic, NonConsecutiveStoresBreakCombining)
     NicHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     char *local = static_cast<char *>(h.n0.mem().alloc(4096, true));
-    h.nic0.bindAu(h.n0.mem().frameOf(local), 1,
+    h.nic0.bindAu(h.n0.mem().frameOf(local), 1, 1,
                   h.n1.mem().frameOf(dst), true, false);
 
     h.sim.spawn("p", [&] {
@@ -331,7 +470,7 @@ TEST(ShrimpNic, FifoThresholdStallsAndRecovers)
     char *dst = static_cast<char *>(h.n1.mem().alloc(32768, true));
     char *local = static_cast<char *>(h.n0.mem().alloc(32768, true));
     for (int pg = 0; pg < 8; ++pg)
-        h.nic0.bindAu(h.n0.mem().frameOf(local) + pg, 1,
+        h.nic0.bindAu(h.n0.mem().frameOf(local) + pg, 1, 1,
                       h.n1.mem().frameOf(dst) + pg, true, false);
 
     bool finished = false;
@@ -453,7 +592,7 @@ TEST(ShrimpNic, AuFenceWaitsForRemoteApplication)
     NicHarness h;
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     char *local = static_cast<char *>(h.n0.mem().alloc(4096, true));
-    h.nic0.bindAu(h.n0.mem().frameOf(local), 1,
+    h.nic0.bindAu(h.n0.mem().frameOf(local), 1, 1,
                   h.n1.mem().frameOf(dst), true, false);
 
     bool value_present_at_fence = false;
@@ -468,6 +607,77 @@ TEST(ShrimpNic, AuFenceWaitsForRemoteApplication)
     });
     h.sim.run();
     EXPECT_TRUE(value_present_at_fence);
+}
+
+TEST(ShrimpNic, UnbindingARangeFlushesItsOpenTrains)
+{
+    NicHarness h;
+    char *dst = static_cast<char *>(h.n1.mem().alloc(4 * 4096, true));
+    char *local = static_cast<char *>(h.n0.mem().alloc(4 * 4096, true));
+    node::Frame l0 = h.n0.mem().frameOf(local);
+    h.nic0.bindAu(l0, 4, 1, h.n1.mem().frameOf(dst), true, false);
+
+    std::uint64_t packets_after_unbind = 0;
+    h.sim.spawn("p", [&] {
+        // Open trains on pages 0, 2 and 3; page 1 stays idle.
+        for (int pg : {2, 0, 3}) {
+            std::uint64_t v = 0x100 + pg;
+            std::memcpy(local + pg * 4096, &v, 8);
+            h.nic0.auStore(local + pg * 4096, 8);
+        }
+        h.nic0.unbindAu(l0, 3); // pages 0..2: two open trains
+        packets_after_unbind =
+            h.sim.stats().counterValue("node0.nic.au_packets");
+        // Unbound pages are snooped and ignored.
+        h.nic0.auStore(local, 8);
+        h.nic0.auFlush(); // page 3's train
+    });
+    h.sim.run();
+    EXPECT_EQ(packets_after_unbind, 2u);
+    EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_packets"), 3u);
+    for (int pg : {0, 2, 3}) {
+        std::uint64_t got;
+        std::memcpy(&got, dst + pg * 4096, 8);
+        EXPECT_EQ(got, std::uint64_t(0x100 + pg)) << pg;
+    }
+}
+
+TEST(ShrimpNic, ArrivalsCountAtTheMemoryWrite)
+{
+    ShrimpNicParams p;
+    p.interruptPerMessage = true;
+    NicHarness h(p);
+    char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
+    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    std::uint64_t arrivals_at_hook = 0;
+    bool hook_ran = false;
+    h.nic1.setDeliverHook([&](const Delivery &) {
+        arrivals_at_hook = h.nic1.arrivals(0);
+        hook_ran = true;
+    });
+    std::uint64_t arrivals_before_hook = 0;
+    bool hook_ran_at_poll = true;
+    h.sim.spawn("send", [&] {
+        EXPECT_EQ(h.nic1.arrivals(0), 0u);
+        char payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+        SendDesc req;
+        req.src = payload;
+        req.proxy = proxy;
+        req.bytes = sizeof(payload);
+        h.nic0.post(req);
+        // Poll until the data is in memory; the handler delays the
+        // hook, but not the count.
+        while (dst[7] != 8)
+            h.sim.delay(nanoseconds(100));
+        arrivals_before_hook = h.nic1.arrivals(0);
+        hook_ran_at_poll = hook_ran;
+    });
+    h.sim.run();
+    EXPECT_FALSE(hook_ran_at_poll);
+    EXPECT_EQ(arrivals_before_hook, 1u);
+    EXPECT_EQ(arrivals_at_hook, 1u);
+    EXPECT_EQ(h.nic1.arrivals(1), 0u);
+    EXPECT_EQ(h.nic1.arrivals(NodeId(1000)), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -270,6 +270,107 @@ TEST(Nx, GsyncAndReductions)
     }
 }
 
+TEST(Nx, PollSeesDataBeforeTheDelayedDeliverHook)
+{
+    // With a per-message interrupt the deliver hook runs a handler's
+    // time after the data lands, but a poll reads ring memory: it
+    // must see the message as soon as it is written, even though the
+    // previous poll found the ring empty.
+    core::ClusterConfig cc;
+    cc.shrimpNic.interruptPerMessage = true;
+    core::Cluster c(cc);
+    NxConfig cfg;
+    cfg.nprocs = 3;
+    NxDomain dom(c, cfg);
+    long idle_probe = 0;
+    std::uint64_t hooks_before = 0, hooks_at_sight = 0;
+    Tick sent_at = 0, seen_at = 0;
+
+    c.spawnOn(0, "sender", [&] {
+        dom.init(0);
+        c.sim().delay(microseconds(200));
+        sent_at = c.sim().now();
+        double v = 1.5;
+        dom.process(0).csend(4, &v, sizeof(v), 1);
+    });
+    c.spawnOn(2, "idle", [&] { dom.init(2); });
+    c.spawnOn(1, "receiver", [&] {
+        dom.init(1);
+        auto &nx = dom.process(1);
+        c.sim().delay(microseconds(100));
+        idle_probe = nx.iprobe(4); // every ring polled empty
+        hooks_before = c.vmmc(1).deliveries();
+        while (nx.iprobe(4) < 0)
+            c.sim().delay(microseconds(1));
+        seen_at = c.sim().now();
+        hooks_at_sight = c.vmmc(1).deliveries();
+        double v = 0;
+        nx.crecv(4, &v, sizeof(v));
+        EXPECT_EQ(v, 1.5);
+    });
+    c.run();
+    EXPECT_EQ(idle_probe, -1);
+    EXPECT_GT(seen_at, sent_at);
+    // Seen while the 20 us handler still held the hook back.
+    EXPECT_EQ(hooks_at_sight, hooks_before);
+}
+
+TEST(Nx, IdleRingSkipsKeepWrapAndCreditsIntact)
+{
+    // Two senders stream through small rings into one receiver that
+    // polls between receives, so rings go idle, get skipped, refill,
+    // wrap and return credits. Every combination of transport and
+    // per-message interrupts must deliver every byte in order.
+    for (bool use_au : {false, true}) {
+        for (bool irq : {false, true}) {
+            core::ClusterConfig cc;
+            cc.shrimpNic.interruptPerMessage = irq;
+            core::Cluster c(cc);
+            NxConfig cfg;
+            cfg.nprocs = 3;
+            cfg.ringBytes = 16 * 1024;
+            cfg.useAutomaticUpdate = use_au;
+            NxDomain dom(c, cfg);
+            const int kCount = 40;
+            const std::size_t kMsg = 1500; // wraps the ring 3+ times
+            std::vector<int> next(3, 0);
+            bool ok = true;
+
+            for (int s : {0, 2}) {
+                c.spawnOn(s, "sender", [&, s] {
+                    dom.init(s);
+                    auto &nx = dom.process(s);
+                    std::vector<char> buf(kMsg);
+                    for (int i = 0; i < kCount; ++i) {
+                        for (std::size_t j = 0; j < kMsg; ++j)
+                            buf[j] = char(s * 31 + i * 7 + j);
+                        nx.csend(s, buf.data(), kMsg, 1);
+                        c.sim().delay(microseconds(s == 0 ? 3 : 40));
+                    }
+                });
+            }
+            c.spawnOn(1, "receiver", [&] {
+                dom.init(1);
+                auto &nx = dom.process(1);
+                std::vector<char> buf(kMsg);
+                for (int n = 0; n < 2 * kCount; ++n) {
+                    while (nx.iprobe(-1) < 0)
+                        c.sim().delay(microseconds(5));
+                    int src = -1;
+                    nx.crecvProbe(-1, -1, buf.data(), kMsg, &src);
+                    int i = next[src]++;
+                    for (std::size_t j = 0; j < kMsg; ++j)
+                        ok = ok && buf[j] == char(src * 31 + i * 7 + j);
+                }
+            });
+            c.run();
+            EXPECT_TRUE(ok) << "au=" << use_au << " irq=" << irq;
+            EXPECT_EQ(next[0], kCount) << "au=" << use_au;
+            EXPECT_EQ(next[2], kCount) << "au=" << use_au;
+        }
+    }
+}
+
 class NxTransportTest : public ::testing::TestWithParam<bool>
 {
 };

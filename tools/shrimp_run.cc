@@ -16,6 +16,7 @@
  * --trace records a Chrome trace_event timeline (see README).
  */
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -185,7 +186,31 @@ Options::parse(int argc, char **argv)
         }
         return int(n);
     };
+    // The same for the 64-bit flags; strtoull would wrap a sign, so
+    // the argument must start with a digit.
+    auto needU64 = [&](int &i, std::uint64_t lo,
+                       std::uint64_t hi) -> std::uint64_t {
+        const char *flag = argv[i];
+        const char *v = need(i);
+        char *end = nullptr;
+        errno = 0;
+        unsigned long long n = std::strtoull(v, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(*v)) ||
+            *end != '\0' || errno == ERANGE || n < lo || n > hi) {
+            std::fprintf(stderr,
+                         "%s: %s wants an integer in [%llu, %llu], got "
+                         "'%s'\n",
+                         argv[0], flag, (unsigned long long)lo,
+                         (unsigned long long)hi, v);
+            usage(argv[0]);
+        }
+        return n;
+    };
     constexpr long kIntMax = std::numeric_limits<int>::max();
+    constexpr std::uint64_t kU32Max =
+        std::numeric_limits<std::uint32_t>::max();
+    constexpr std::uint64_t kU64Max =
+        std::numeric_limits<std::uint64_t>::max();
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--app") {
@@ -217,7 +242,8 @@ Options::parse(int argc, char **argv)
             o.useAu = false;
             o.auGiven = true;
         } else if (a == "--keys") {
-            o.keys = std::strtoull(need(i), nullptr, 10);
+            // Radix indexes keys with 32-bit positions.
+            o.keys = needU64(i, 1, kU32Max);
         } else if (a == "--grid") {
             o.grid = needInt(i, 1, kIntMax);
         } else if (a == "--bodies") {
@@ -225,7 +251,7 @@ Options::parse(int argc, char **argv)
         } else if (a == "--steps") {
             o.steps = needInt(i, 1, kIntMax);
         } else if (a == "--seed") {
-            o.seed = std::strtoull(need(i), nullptr, 10);
+            o.seed = needU64(i, 0, kU64Max);
         } else if (a == "--mesh") {
             const char *spec = need(i);
             if (!core::parseMesh(spec, o.cluster.meshWidth,
@@ -267,8 +293,7 @@ Options::parse(int argc, char **argv)
             o.cluster.network.fault.maxJitter =
                 nanoseconds(std::atof(need(i)));
         } else if (a == "--fault-seed") {
-            o.cluster.network.fault.seed =
-                std::strtoull(need(i), nullptr, 10);
+            o.cluster.network.fault.seed = needU64(i, 0, kU64Max);
         } else if (a == "--fault-link-down") {
             mesh::LinkOutage outage;
             const char *spec = need(i);
