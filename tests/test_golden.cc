@@ -3,9 +3,11 @@
  * Golden-file regression tests: pinned runs must reproduce their
  * checked-in observability artifacts byte for byte — the RunReport
  * JSON of a fault-plane run, the flight-recorder metrics JSONL of a
- * fault-free run, and the RunReports of the NX and AU-bound SVM runs
- * on all three NICs. Any datapath "optimization" that perturbs these
- * files changed simulated behaviour, not just host speed.
+ * fault-free run, the RunReports of the NX and AU-bound SVM runs
+ * on all three NICs, and the packet-trace outputs (lifecycle
+ * RunReport plus causal log) on all three NICs and under faults. Any
+ * datapath "optimization" that perturbs these files changed simulated
+ * behaviour, not just host speed.
  *
  * The files live in tests/golden/ (path baked in via the
  * SHRIMP_TEST_GOLDEN_DIR compile definition). To regenerate after an
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -28,6 +31,8 @@
 #include "apps/barnes.hh"
 #include "apps/ocean.hh"
 #include "apps/radix.hh"
+#include "sim/causal.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/run_report.hh"
 
@@ -181,4 +186,100 @@ TEST(Golden, NxAndAuSvmReportsAreByteStable)
 
     add(apps::runOceanSvm(shrimp, svm::Protocol::AURC, 16, ocean));
     checkGolden("nx_au_svm_reports.jsonl", lines);
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a: a compact, portable digest of a large artifact. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Occurrences of @p needle in @p hay. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto pos = hay.find(needle); pos != std::string::npos;
+         pos = hay.find(needle, pos + needle.size()))
+        ++n;
+    return n;
+}
+
+} // anonymous namespace
+
+/**
+ * The two packet-trace sinks: each run has lifecycle tracing on and
+ * the causal log open, and pins its RunReport (with the
+ * latency_breakdown block) and a digest of its causal log (the logs
+ * run to megabytes). Deliberate update on the SHRIMP, baseline and
+ * modern NICs, automatic update on the SHRIMP NIC, and a 1% drop run
+ * whose go-back-N resends emit nic.retx spans.
+ */
+TEST(Golden, PacketTraceOutputsAreByteStable)
+{
+    apps::RadixConfig radix;
+    radix.keys = 4 * 1024;
+    apps::OceanConfig ocean;
+    ocean.n = 34;
+    ocean.iterations = 2;
+    const std::string log = testing::TempDir() + "golden_causal.jsonl";
+
+    std::string lines;
+    auto add = [&](const char *label, const core::ClusterConfig &base,
+                   auto &&run) {
+        core::ClusterConfig cc = base;
+        cc.lifecycleTracing = true;
+        causal::open(log);
+        apps::AppResult r = run(cc);
+        causal::close();
+        std::string text = slurp(log);
+        std::remove(log.c_str());
+
+        RunReport rep = apps::makeReport(r);
+        ASSERT_TRUE(rep.latency.enabled) << label;
+        ASSERT_GT(countOf(text, "\"name\":\"pkt.total\""), 0u) << label;
+        lines += rep.toJson(false);
+        lines += '\n';
+        lines += strfmt("{\"causal_log\":\"%s\",\"bytes\":%zu,"
+                        "\"spans\":%zu,\"retx_spans\":%zu,"
+                        "\"fnv1a64\":\"%016llx\"}\n",
+                        label, text.size(),
+                        countOf(text, "\n") - 1,
+                        countOf(text, "\"name\":\"nic.retx\""),
+                        (unsigned long long)fnv1a(text));
+    };
+    auto radixVmmc = [&](bool au) {
+        return [&radix, au](const core::ClusterConfig &cc) {
+            return apps::runRadixVmmc(cc, au, /*procs=*/4, radix);
+        };
+    };
+
+    core::ClusterConfig shrimp;
+    add("shrimp-du", shrimp, radixVmmc(false));
+    add("shrimp-au", shrimp, [&ocean](const core::ClusterConfig &cc) {
+        return apps::runOceanNx(cc, /*use_au=*/true, 16, ocean);
+    });
+    core::ClusterConfig baseline;
+    baseline.nicKind = core::NicKind::Baseline;
+    add("baseline", baseline, radixVmmc(false));
+    core::ClusterConfig modern;
+    modern.nicKind = core::NicKind::Modern;
+    add("modern", modern, radixVmmc(false));
+    core::ClusterConfig fault;
+    fault.network.fault.dropRate = 0.01;
+    fault.network.fault.seed = 7;
+    add("fault-drop", fault, radixVmmc(true));
+
+    ASSERT_EQ(countOf(lines, "\"retx_spans\":0,"), 4u)
+        << "the drop run must emit nic.retx spans";
+    checkGolden("packet_trace.jsonl", lines);
 }
