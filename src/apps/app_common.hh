@@ -138,17 +138,17 @@ makeReport(const AppResult &r)
         rep.faults.acks = r.stats.counterValue("mesh.acks");
         rep.faults.nacks = r.stats.counterValue("mesh.nacks");
     }
-    const Histogram *total = r.stats.findHistogram(
-        lifeStageHistName(LifeStage::Total));
+    const Histogram *total =
+        r.stats.findHistogram(lifeStage(LifeStage::Total).hist);
     if (total && total->count() > 0) {
         rep.latency.enabled = true;
         for (int s = 0; s < int(LifeStage::kCount); ++s) {
-            const Histogram *h = r.stats.findHistogram(
-                lifeStageHistName(LifeStage(s)));
+            const LifeStageDef &d = lifeStage(LifeStage(s));
+            const Histogram *h = r.stats.findHistogram(d.hist);
             if (!h)
                 continue;
             RunReport::StageLatency sl;
-            sl.stage = lifeStageName(LifeStage(s));
+            sl.stage = d.name;
             sl.count = h->count();
             sl.meanUs = h->mean();
             sl.p50Us = h->percentile(50);

@@ -6,6 +6,7 @@
 
 #include "core/vmmc.hh"
 #include "sim/causal.hh"
+#include "sim/lifecycle.hh"
 #include "sim/logging.hh"
 #include "sim/trace_json.hh"
 
@@ -77,18 +78,14 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
     _network = std::make_unique<mesh::Network>(
         _sim, _config.meshWidth, _config.meshHeight, _config.network);
 
+    // The NICs bind the lifecycle histograms as they are built.
     if (_config.lifecycleTracing)
-        _lifecycle.enable(_sim.stats());
-    // Causal tracing needs per-packet stage stamps but no histograms.
-    if (causal::enabled())
-        _lifecycle.enableStamps();
+        enableLifecycle(_sim.stats());
 
     // Every NIC kind takes the same construction-time configuration:
-    // reliability tunables plus the lifecycle tracer, wired before
-    // any traffic can flow.
+    // reliability tunables, wired before any traffic can flow.
     nic::Config nic_cfg;
     nic_cfg.reliability = _config.reliability;
-    nic_cfg.lifecycle = &_lifecycle;
 
     int n = _config.meshWidth * _config.meshHeight;
     // Past the per-destination-stats ceiling the "rel.dst<D>.*"

@@ -99,8 +99,6 @@ Network::routeMemoBytes() const
 void
 Network::scheduleDelivery(Packet &&pkt, Tick deliver)
 {
-    if (pkt.life.id)
-        pkt.life.delivered = deliver;
     auto [p, id] = _pool.acquireRef();
     *p = std::move(pkt);
     sim.scheduleAt(deliver, [this, p, id = id] {

@@ -6,7 +6,9 @@
  * packet structure as an opaque payload, and the mesh models only the
  * on-wire size, source and destination — plus, for the link-level
  * reliability protocol, a per-pair sequence number and a header/payload
- * checksum that fault injection may perturb in flight.
+ * checksum that fault injection may perturb in flight. Observability
+ * metadata (lifecycle stamps, causal context) rides in the NI payload
+ * (nic::PacketTrace), never here.
  */
 
 #ifndef SHRIMP_MESH_PACKET_HH
@@ -15,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "sim/causal.hh"
 #include "sim/types.hh"
 
 namespace shrimp::mesh
@@ -27,22 +28,6 @@ enum class PacketKind : std::uint8_t
     Data, //!< carries an opaque NI payload
     Ack,  //!< cumulative acknowledgement; seq = next expected
     Nack, //!< go-back-N resend request; seq = first missing
-};
-
-/**
- * Lifecycle stamps a packet carries when per-packet latency
- * attribution is on (sim/lifecycle.hh). id == 0 means tracing is off
- * for this packet and every consumer ignores the stamps. All times
- * are absolute simulation ticks; the stage durations derived from
- * them are defined in LifecycleTracer.
- */
-struct PacketLife
-{
-    std::uint64_t id = 0; //!< trace id, stamped at send; 0 = untraced
-    Tick born = 0;        //!< send API entered (CPU starts paying)
-    Tick queued = 0;      //!< accepted by the NI (queue/train flush)
-    Tick injected = 0;    //!< first byte onto the backplane
-    Tick delivered = 0;   //!< tail arrived at the destination NI
 };
 
 /** A packet in flight on the backplane. */
@@ -81,23 +66,13 @@ struct Packet
 
     /** Opaque NI-level payload, handed to the receiver untouched. */
     std::shared_ptr<void> payload;
-
-    /**
-     * Lifecycle stamps (flight recorder). Not covered by
-     * packetChecksum: the stamps are observability metadata, not
-     * protocol state, so corrupting them is meaningless.
-     */
-    PacketLife life;
-
-    /**
-     * Causal-trace context of the operation that sent this packet
-     * (sim/causal.hh). Like `life`, observability metadata outside
-     * packetChecksum; it rides every copy the pipeline makes — the
-     * retransmit buffer included — so the receiver's spans parent
-     * correctly.
-     */
-    causal::CauseCtx cause;
 };
+
+// Every mesh event copies a Packet (pool slot, retransmit buffer,
+// delivery), so it stays header-sized. Per-packet observability
+// belongs in the NI payload, which the copies share by pointer.
+static_assert(sizeof(Packet) <= 56,
+              "mesh::Packet carries protocol state only");
 
 /**
  * The model's stand-in for a CRC over the packet header and payload:

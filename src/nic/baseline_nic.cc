@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/lifecycle.hh"
 #include "sim/logging.hh"
 
 namespace shrimp::nic
@@ -32,11 +31,7 @@ BaselineNic::post(const SendDesc &req)
     if (req.dstOffset + req.bytes > node::kPageBytes)
         panic("transfer crosses destination page boundary");
 
-    mesh::PacketLife life;
-    if (lifecycle && lifecycle->enabled()) {
-        life.id = lifecycle->nextId();
-        life.born = sim.now();
-    }
+    const Tick born = sim.now();
 
     // Host builds a descriptor and rings the doorbell over the I/O bus.
     cpu.compute(_params.doorbellCost);
@@ -55,9 +50,7 @@ BaselineNic::post(const SendDesc &req)
     pkt.notify = req.notify;
     pkt.notifyId = req.notifyId;
     pkt.endOfMessage = req.endOfMessage;
-    pkt.life = life;
-    pkt.life.queued = sim.now(); // after any queue-full wait
-    pkt.cause = causal::current();
+    pkt.trace = sendTrace(born); // queued after any queue-full wait
 
     sendQueue.push_back(std::move(pkt));
     sendQueueDst.push_back(entry.dstNode);
@@ -93,18 +86,9 @@ BaselineNic::engineBody()
         std::uint32_t wire = std::uint32_t(bytes) + kPacketHeaderBytes;
         sim.delay(transferTime(wire, link_bw));
 
-        mesh::Packet mp;
-        mp.src = nodeId();
-        mp.dst = dst;
-        mp.wireBytes = wire;
-        mp.life = pkt.life;
-        if (mp.life.id)
-            mp.life.injected = sim.now();
-        mp.cause = pkt.cause;
         auto payload = std::make_shared<NicPayload>();
         payload->body = std::move(pkt);
-        mp.payload = std::move(payload);
-        netSend(std::move(mp));
+        inject(dst, wire, 1, std::move(payload));
 
         engineBusy = false;
         slotWait.wakeAll(sim);
@@ -139,18 +123,10 @@ BaselineNic::receive(const mesh::Packet &pkt)
 
     stPacketsIn.inc();
     stBytesIn.inc(bytes);
-    if (pkt.life.id && lifecycle)
-        lifecycle->record(pkt.life.born, pkt.life.queued,
-                          pkt.life.injected, pkt.life.delivered, start,
-                          done);
-    if (pkt.life.id && causal::enabled())
-        causal::emitPacket(pkt.cause, int(nodeId()), pkt.life.born,
-                           pkt.life.queued, pkt.life.injected,
-                           pkt.life.delivered, start, done);
+    traceReceive(du->trace, start, done);
 
     sim.schedule(done - sim.now(), [this, payload] {
-        causal::EventCtxScope cctx(
-            std::get<DuPacket>(payload->body).cause);
+        causal::EventCtxScope cctx(payload->trace().cause);
         auto &mem = _node.mem();
         auto &du2 = std::get<DuPacket>(payload->body);
         if (du2.dstFrame >= mem.frameCount())

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/lifecycle.hh"
 #include "sim/logging.hh"
 
 namespace shrimp::nic
@@ -36,11 +35,7 @@ ModernNic::post(const SendDesc &req)
     if (req.bytes == 0 || req.bytes > node::kPageBytes)
         panic("posted send size %u invalid", req.bytes);
 
-    mesh::PacketLife life;
-    if (lifecycle && lifecycle->enabled()) {
-        life.id = lifecycle->nextId();
-        life.born = sim.now();
-    }
+    const Tick born = sim.now();
 
     // The whole host-side cost of a send: build the WQE and ring the
     // doorbell with one user-level MMIO write.
@@ -61,9 +56,7 @@ ModernNic::post(const SendDesc &req)
     pkt.notifyId = req.notifyId;
     pkt.urgent = req.urgent;
     pkt.endOfMessage = req.endOfMessage;
-    pkt.life = life;
-    pkt.life.queued = sim.now(); // after any queue-full wait
-    pkt.cause = causal::current();
+    pkt.trace = sendTrace(born); // queued after any queue-full wait
 
     sendQueue.push_back(std::move(pkt));
     sendQueueDst.push_back(entry.dstNode);
@@ -98,18 +91,9 @@ ModernNic::engineBody()
         std::uint32_t wire = std::uint32_t(bytes) + kPacketHeaderBytes;
         sim.delay(transferTime(wire, link_bw));
 
-        mesh::Packet mp;
-        mp.src = nodeId();
-        mp.dst = dst;
-        mp.wireBytes = wire;
-        mp.life = pkt.life;
-        if (mp.life.id)
-            mp.life.injected = sim.now();
-        mp.cause = pkt.cause;
         auto payload = std::make_shared<NicPayload>();
         payload->body = std::move(pkt);
-        mp.payload = std::move(payload);
-        netSend(std::move(mp));
+        inject(dst, wire, 1, std::move(payload));
 
         engineBusy = false;
         slotWait.wakeAll(sim);
@@ -187,18 +171,10 @@ ModernNic::receive(const mesh::Packet &pkt)
 
     stPacketsIn.inc();
     stBytesIn.inc(bytes);
-    if (pkt.life.id && lifecycle)
-        lifecycle->record(pkt.life.born, pkt.life.queued,
-                          pkt.life.injected, pkt.life.delivered, start,
-                          done);
-    if (pkt.life.id && causal::enabled())
-        causal::emitPacket(pkt.cause, int(nodeId()), pkt.life.born,
-                           pkt.life.queued, pkt.life.injected,
-                           pkt.life.delivered, start, done);
+    traceReceive(du->trace, start, done);
 
     sim.schedule(done - sim.now(), [this, payload] {
-        causal::EventCtxScope cctx(
-            std::get<DuPacket>(payload->body).cause);
+        causal::EventCtxScope cctx(payload->trace().cause);
         auto &mem = _node.mem();
         auto &du2 = std::get<DuPacket>(payload->body);
         if (du2.dstFrame >= mem.frameCount())

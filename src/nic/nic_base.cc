@@ -1,6 +1,7 @@
 #include "nic/nic_base.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -10,8 +11,8 @@ namespace shrimp::nic
 {
 
 NicBase::NicBase(node::Node &n, mesh::Network &net, const Config &cfg)
-    : _node(n), _net(net), lifecycle(cfg.lifecycle),
-      _reliable(net.reliabilityEnabled()), _rel(cfg.reliability),
+    : _node(n), _net(net), _reliable(net.reliabilityEnabled()),
+      _rel(cfg.reliability),
       stCorruptRx(n.simulation().stats(), "mesh.corrupt_rx"),
       stDupRx(n.simulation().stats(), "mesh.dup_rx"),
       stRetransmits(n.simulation().stats(), "mesh.retransmits"),
@@ -21,6 +22,12 @@ NicBase::NicBase(node::Node &n, mesh::Network &net, const Config &cfg)
 {
     _net.attach(n.id(),
                 [this](const mesh::Packet &p) { linkReceive(p); });
+    // Trace packets if either sink is on: the lifecycle histograms
+    // exist (the cluster creates them first) or the causal log is open.
+    for (std::size_t s = 0; s < std::size(lifeHist); ++s)
+        lifeHist[s] = n.simulation().stats().findHistogram(
+            lifeStage(LifeStage(s)).hist);
+    _tracePackets = lifeHist[0] || causal::enabled();
 }
 
 void
@@ -68,6 +75,59 @@ NicBase::notifyWait(std::uint32_t, std::uint64_t)
     fatal("%s: this network interface has no batched notification "
           "support (check caps().batchedNotify before notifyWait)",
           _node.name().c_str());
+}
+
+void
+NicBase::inject(NodeId dst, std::uint32_t wire_bytes,
+                std::uint32_t hw_packets,
+                std::shared_ptr<NicPayload> payload)
+{
+    payload->trace().injected = _node.simulation().now();
+    mesh::Packet mp;
+    mp.src = nodeId();
+    mp.dst = dst;
+    mp.wireBytes = wire_bytes;
+    mp.hwPackets = hw_packets;
+    mp.payload = std::move(payload);
+    netSend(std::move(mp));
+}
+
+void
+NicBase::traceReceive(const PacketTrace &t, Tick rx_start, Tick rx_done)
+{
+    if (!_tracePackets)
+        return;
+    // The mesh hands a packet over the moment its tail arrives, so
+    // the arrival mark is now.
+    const Tick mark[] = {t.born,
+                         t.queued,
+                         t.injected,
+                         _node.simulation().now(),
+                         rx_start,
+                         rx_done};
+    static_assert(std::size(mark) == std::size_t(LifeMark::kCount));
+    auto at = [&mark](LifeMark m) { return mark[std::size_t(m)]; };
+
+    // With the causal log open, the packet is a pkt.total span whose
+    // children are the pipeline stages; its id is minted first.
+    int node = int(nodeId());
+    causal::CauseCtx parent;
+    if (causal::enabled()) {
+        const LifeStageDef &total = lifeStage(LifeStage::Total);
+        std::uint64_t id = causal::mintId(node);
+        causal::emitSpan(id, t.cause, node, total.span, at(total.from),
+                         at(total.to));
+        parent = {t.cause.valid() ? t.cause.trace : id, id};
+    }
+    for (std::size_t s = 0; s < std::size(lifeHist); ++s) {
+        const LifeStageDef &d = lifeStage(LifeStage(s));
+        Tick from = at(d.from), to = at(d.to);
+        if (lifeHist[s])
+            lifeHist[s]->sample(toMicroseconds(to >= from ? to - from : 0));
+        if (parent.valid() && LifeStage(s) != LifeStage::Total)
+            causal::emitSpan(causal::mintId(node), parent, node, d.span,
+                             from, to);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -338,12 +398,15 @@ NicBase::retransmit(RelChannel &ch, NodeId dst)
     ch.retxMaxSeq = std::max(ch.retxMaxSeq, ch.unacked.back()->seq);
     for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
         stRetransmits.inc();
-        // The buffered copy still carries the original send's causal
-        // context, so the resend — and the eventual delivery — stay
-        // parented on the operation that first sent the packet.
-        if (causal::enabled())
-            causal::emitRetx(ch.unacked[i]->cause, int(nodeId()),
+        // The buffered copy shares the original send's payload and so
+        // its causal context: the resend — and the eventual delivery —
+        // stay parented on the operation that first sent the packet.
+        if (causal::enabled()) {
+            auto *payload =
+                static_cast<NicPayload *>(ch.unacked[i]->payload.get());
+            causal::emitRetx(payload->trace().cause, int(nodeId()),
                              sim.now());
+        }
         mesh::Packet copy = *ch.unacked[i];
         _net.send(std::move(copy));
     }

@@ -41,12 +41,12 @@
 #include "nic/packet.hh"
 #include "nic/page_tables.hh"
 #include "node/node.hh"
+#include "sim/lifecycle.hh"
 
 namespace shrimp
 {
 class Accumulator;
 class Histogram;
-class LifecycleTracer;
 class Scalar;
 } // namespace shrimp
 
@@ -110,21 +110,14 @@ inline constexpr int kPerDestStatsMaxNodes = 64;
 
 /**
  * Construction-time configuration shared by every NIC kind: the
- * cluster passes reliability tunables and its lifecycle tracer here
- * instead of through post-hoc setters, so a NIC is fully wired the
- * moment it attaches to the mesh.
+ * cluster passes reliability tunables here instead of through
+ * post-hoc setters, so a NIC is fully wired the moment it attaches to
+ * the mesh.
  */
 struct Config
 {
     /** Reliability-protocol tunables (used only in fault mode). */
     ReliabilityParams reliability;
-
-    /**
-     * The cluster's packet-lifecycle tracer (may be disabled;
-     * nullptr = none). The NIC stamps and records packets only while
-     * the tracer reports enabled().
-     */
-    LifecycleTracer *lifecycle = nullptr;
 };
 
 /**
@@ -374,6 +367,33 @@ class NicBase
      */
     virtual void receive(const mesh::Packet &pkt) = 0;
 
+    /**
+     * The trace of a data packet whose send began at @p born and that
+     * the NI accepts now, in the current causal context.
+     */
+    PacketTrace
+    sendTrace(Tick born) const
+    {
+        return {causal::current(), born, _node.simulation().now(), 0};
+    }
+
+    /**
+     * Inject a data packet to @p dst: stamp its trace's injection
+     * time and netSend it as @p hw_packets wire packets totalling
+     * @p wire_bytes.
+     */
+    void inject(NodeId dst, std::uint32_t wire_bytes,
+                std::uint32_t hw_packets,
+                std::shared_ptr<NicPayload> payload);
+
+    /**
+     * The receive hook: called once per data packet as receive()
+     * computes its DMA window [@p rx_start, @p rx_done]. Turns @p t
+     * and the window into the lifecycle stages and feeds them to the
+     * lifecycle histograms and the causal log, whichever is on.
+     */
+    void traceReceive(const PacketTrace &t, Tick rx_start, Tick rx_done);
+
     /** Count a packet from @p src as written into node memory. */
     void
     noteArrival(NodeId src)
@@ -390,9 +410,6 @@ class NicBase
     DeliverHook deliverHook;
     NotifyHook notifyHook;
     PeerDeadHook peerDeadHook;
-
-    /** Cluster lifecycle tracer; nullptr or disabled = no stamping. */
-    LifecycleTracer *lifecycle = nullptr;
 
   private:
     /** Sender-side per-destination reliability state. */
@@ -483,6 +500,12 @@ class NicBase
 
     /** Node-wide ACK round-trip histogram ("<node>.rel.ack_rtt_us"). */
     Histogram *rttHist = nullptr;
+
+    /** The lifecycle histograms; null while lifecycle tracing is off. */
+    Histogram *lifeHist[std::size_t(LifeStage::kCount)] = {};
+
+    /** A packet-trace sink was on when the NIC was built. */
+    bool _tracePackets = false;
 };
 
 } // namespace shrimp::nic

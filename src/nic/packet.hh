@@ -11,8 +11,8 @@
 #include <variant>
 #include <vector>
 
-#include "mesh/packet.hh"
 #include "node/memory.hh"
+#include "sim/causal.hh"
 #include "sim/types.hh"
 
 namespace shrimp::nic
@@ -20,6 +20,25 @@ namespace shrimp::nic
 
 /** On-wire header size for every packet (routing + address + flags). */
 inline constexpr std::uint32_t kPacketHeaderBytes = 16;
+
+/**
+ * A data packet's trace record: the causal context of the operation
+ * that sent it and the three send-side lifecycle stamps (absolute
+ * ticks). The sending NIC fills it (NicBase::sendTrace, NicBase::inject)
+ * and the receiving NIC's one hook (NicBase::traceReceive) turns it
+ * into lifecycle stages (sim/lifecycle.hh) and causal pkt.* spans.
+ * It lives in the payload, which every mesh copy of the packet -- the
+ * retransmit buffer's included -- shares by pointer; the arrival stamp
+ * is the receive hook's own clock. Observability only: not covered by
+ * mesh::packetChecksum.
+ */
+struct PacketTrace
+{
+    causal::CauseCtx cause; //!< context of the sending operation
+    Tick born = 0;          //!< send API entered (CPU starts paying)
+    Tick queued = 0;        //!< accepted by the NI (queue/train flush)
+    Tick injected = 0;      //!< first byte onto the backplane
+};
 
 /** One write carried by an AU packet train. */
 struct AuWrite
@@ -43,18 +62,7 @@ struct DuPacket
     bool notify = false;            //!< sender's per-transfer bit
     bool urgent = false;            //!< solicited event: skip coalescing
     bool endOfMessage = true;       //!< last packet of a library message
-
-    /**
-     * Lifecycle stamps (flight recorder): born/queued are filled on
-     * the send path and copied onto the mesh packet at injection.
-     * Kept in the payload rather than captured by the injection
-     * lambdas, which are already near the inline-callback capture
-     * budget.
-     */
-    mesh::PacketLife life;
-
-    /** Causal context of the posting operation; see mesh::Packet. */
-    causal::CauseCtx cause;
+    PacketTrace trace;              //!< stamped at post and injection
 };
 
 /**
@@ -83,11 +91,8 @@ struct AuTrainPacket
      */
     std::function<void()> applied;
 
-    /** Lifecycle stamps; see DuPacket::life. */
-    mesh::PacketLife life;
-
-    /** Causal context of the train-opening store; see mesh::Packet. */
-    causal::CauseCtx cause;
+    /** Born and caused at the train-opening store; queued at flush. */
+    PacketTrace trace;
 };
 
 /**
@@ -96,6 +101,14 @@ struct AuTrainPacket
 struct NicPayload
 {
     std::variant<DuPacket, AuTrainPacket> body;
+
+    /** The body's trace record, whichever kind it is. */
+    PacketTrace &
+    trace()
+    {
+        return std::visit([](auto &b) -> PacketTrace & { return b.trace; },
+                          body);
+    }
 };
 
 } // namespace shrimp::nic

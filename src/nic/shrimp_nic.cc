@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/lifecycle.hh"
 #include "sim/logging.hh"
 #include "sim/trace_json.hh"
 
@@ -94,11 +93,7 @@ ShrimpNic::post(const SendDesc &req)
     // protection bookkeeping. The span also covers any queue-full wait
     // below, so the trace shows true per-send initiation cost.
     trace_json::Span span(traceTrack(), "du_submit");
-    mesh::PacketLife life;
-    if (lifecycle && lifecycle->enabled()) {
-        life.id = lifecycle->nextId();
-        life.born = sim.now();
-    }
+    const Tick born = sim.now();
     cpu.compute(_params.udmaIssueCost);
     cpu.sync();
 
@@ -117,9 +112,7 @@ ShrimpNic::post(const SendDesc &req)
     pkt.notify = req.notify;
     pkt.notifyId = req.notifyId;
     pkt.endOfMessage = req.endOfMessage;
-    pkt.life = life;
-    pkt.life.queued = sim.now(); // after any queue-full wait
-    pkt.cause = causal::current();
+    pkt.trace = sendTrace(born); // queued after any queue-full wait
 
     duQueue.push_back(std::move(pkt));
     duQueueDst.push_back(entry.dstNode);
@@ -179,18 +172,8 @@ ShrimpNic::duEngineBody()
 
         auto payload = std::make_shared<NicPayload>();
         payload->body = std::move(pkt);
-        NodeId src = nodeId();
-        sim.schedule(inj - sim.now(), [this, payload, dst, src, wire] {
-            mesh::Packet mp2;
-            mp2.src = src;
-            mp2.dst = dst;
-            mp2.wireBytes = wire;
-            mp2.life = std::get<DuPacket>(payload->body).life;
-            if (mp2.life.id)
-                mp2.life.injected = sim.now();
-            mp2.cause = std::get<DuPacket>(payload->body).cause;
-            mp2.payload = payload;
-            netSend(std::move(mp2));
+        sim.schedule(inj - sim.now(), [this, payload, dst, wire] {
+            inject(dst, wire, 1, payload);
         });
 
         duEngineBusy = false;
@@ -243,11 +226,7 @@ ShrimpNic::auStore(const void *src, std::uint32_t bytes)
         train.dstFrame = entry->dstFrame;
         train.combining = entry->combining;
         train.interruptRequest = entry->interruptRequest;
-        if (lifecycle && lifecycle->enabled()) {
-            train.life.id = lifecycle->nextId();
-            train.life.born = sim.now();
-        }
-        train.cause = causal::current();
+        train.trace = sendTrace(sim.now());
     }
 
     AuWrite w;
@@ -362,9 +341,8 @@ ShrimpNic::flushTrain(AuTrain &train)
     pkt.packetCount = train.packetCount;
     pkt.dataBytes = data_bytes;
     pkt.interruptRequest = train.interruptRequest;
-    pkt.life = train.life;
-    pkt.life.queued = sim.now(); // NI-visible ordering point
-    pkt.cause = train.cause;
+    pkt.trace = train.trace;
+    pkt.trace.queued = sim.now(); // NI-visible ordering point
     ++auInFlight;
     pkt.applied = [this] {
         if (--auInFlight == 0)
@@ -375,23 +353,12 @@ ShrimpNic::flushTrain(AuTrain &train)
     std::uint32_t hw = pkt.packetCount;
     payload->body = std::move(pkt);
     NodeId dst = train.dstNode;
-    NodeId src = nodeId();
 
     std::uint32_t credit_bytes = contribution;
     sim.schedule(inj - sim.now(),
-                 [this, payload, wire, dst, src, credit_bytes, hw] {
+                 [this, payload, wire, dst, credit_bytes, hw] {
         fifoCredit(credit_bytes);
-        mesh::Packet mp;
-        mp.src = src;
-        mp.dst = dst;
-        mp.wireBytes = wire;
-        mp.hwPackets = hw;
-        mp.life = std::get<AuTrainPacket>(payload->body).life;
-        if (mp.life.id)
-            mp.life.injected = sim.now();
-        mp.cause = std::get<AuTrainPacket>(payload->body).cause;
-        mp.payload = payload;
-        netSend(std::move(mp));
+        inject(dst, wire, hw, payload);
     });
 
     train = AuTrain();
@@ -454,14 +421,7 @@ ShrimpNic::receive(const mesh::Packet &pkt)
     stPacketsIn.inc(packets);
     stBytesIn.inc(data_bytes);
     stEisaBusyPs.inc(done - start);
-    if (pkt.life.id && lifecycle)
-        lifecycle->record(pkt.life.born, pkt.life.queued,
-                          pkt.life.injected, pkt.life.delivered, start,
-                          done);
-    if (pkt.life.id && causal::enabled())
-        causal::emitPacket(pkt.cause, int(nodeId()), pkt.life.born,
-                           pkt.life.queued, pkt.life.injected,
-                           pkt.life.delivered, start, done);
+    traceReceive(payload->trace(), start, done);
 
     if (trace_json::enabled())
         trace_json::completeEvent(
@@ -473,14 +433,7 @@ ShrimpNic::receive(const mesh::Packet &pkt)
         // Sends issued from inside the delivery chain (notification
         // handlers and their replies) inherit the packet's carried
         // context through the thread's event slot.
-        causal::CauseCtx cause;
-        if (causal::enabled()) {
-            if (auto *du = std::get_if<DuPacket>(&payload->body))
-                cause = du->cause;
-            else
-                cause = std::get<AuTrainPacket>(payload->body).cause;
-        }
-        causal::EventCtxScope cctx(cause);
+        causal::EventCtxScope cctx(payload->trace().cause);
 
         auto &mem = _node.mem();
         Delivery d;

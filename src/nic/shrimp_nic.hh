@@ -140,11 +140,8 @@ class ShrimpNic : public NicBase
         bool combining = false;
         bool interruptRequest = false;
 
-        /** Lifecycle stamps; born at the train's first snooped store. */
-        mesh::PacketLife life;
-
-        /** Causal context of the train-opening store. */
-        causal::CauseCtx cause;
+        /** Born and caused at the train's first snooped store. */
+        PacketTrace trace;
     };
 
     void duEngineBody();

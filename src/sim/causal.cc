@@ -203,33 +203,6 @@ emitSpan(std::uint64_t id, const CauseCtx &parent, int node,
 }
 
 void
-emitPacket(const CauseCtx &cause, int dst_node, Tick born, Tick queued,
-           Tick injected, Tick delivered, Tick rx_start, Tick rx_done)
-{
-    if (!enabled())
-        return;
-    std::uint64_t pkt = mintId(dst_node);
-    emitSpan(pkt, cause, dst_node, "pkt.total", born, rx_done);
-    CauseCtx in{cause.valid() ? cause.trace : pkt, pkt};
-    // The five stages partition [born, rx_done] exactly (each span
-    // starts where the previous one ended), mirroring
-    // LifecycleTracer's stage definitions.
-    const struct
-    {
-        const char *name;
-        Tick from, to;
-    } stages[] = {
-        {"pkt.send_overhead", born, queued},
-        {"pkt.ni_wait", queued, injected},
-        {"pkt.wire", injected, delivered},
-        {"pkt.rx_fifo", delivered, rx_start},
-        {"pkt.delivery", rx_start, rx_done},
-    };
-    for (const auto &s : stages)
-        emitSpan(mintId(dst_node), in, dst_node, s.name, s.from, s.to);
-}
-
-void
 emitRetx(const CauseCtx &cause, int src_node, Tick when)
 {
     if (!enabled())

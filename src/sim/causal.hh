@@ -3,9 +3,12 @@
  * Causal tracing: a Dapper-style trace context (trace id + parent
  * span id) minted at each app-level operation and carried through
  * every layer a message crosses — msg domains, sockets, VMMC,
- * collectives, SVM, the NICs, and the mesh packets themselves — so an
- * app-level stall can be attributed to the exact chain of sends,
- * retransmits, and notifications behind it.
+ * collectives, SVM, and the NICs, whose packet payloads carry it in
+ * their trace record (nic::PacketTrace) — so an app-level stall can be
+ * attributed to the exact chain of sends, retransmits, and
+ * notifications behind it. Each delivered packet becomes a
+ * "pkt.total" span with one child per lifecycle stage
+ * (sim/lifecycle.hh), emitted by the receiving NIC's trace hook.
  *
  * The recorder is process-global and off by default; every
  * instrumentation site guards on enabled() (a single bool load), and
@@ -58,9 +61,9 @@ enabled()
  * The propagated context: the trace a span belongs to and the span
  * that caused it. Zero means "no context" — a packet sent outside any
  * traced operation becomes the root of its own trace. The struct is
- * two plain words so it travels inside packets for free (like
- * mesh::PacketLife, it is observability metadata, not protocol
- * state).
+ * two plain words so it travels inside a packet's trace record
+ * (nic::PacketTrace) for free; it is observability metadata, not
+ * protocol state.
  */
 struct CauseCtx
 {
@@ -101,20 +104,9 @@ void emitSpan(std::uint64_t id, const CauseCtx &parent, int node,
               const char *name, Tick start, Tick end);
 
 /**
- * Record a delivered packet as a "pkt.total" span parented on the
- * packet's carried context, plus its five lifecycle stage children
- * (pkt.send_overhead .. pkt.delivery) which partition [born, rx_done]
- * exactly — so per-stage means over the log equal the lifecycle
- * histogram means. Called by the NICs' receive paths.
- */
-void emitPacket(const CauseCtx &cause, int dst_node, Tick born,
-                Tick queued, Tick injected, Tick delivered,
-                Tick rx_start, Tick rx_done);
-
-/**
  * Record a retransmission as a zero-length "nic.retx" span parented
  * on the *original* packet's context (go-back-N resends the buffered
- * copy, which still carries it).
+ * copy, whose payload carries it).
  */
 void emitRetx(const CauseCtx &cause, int src_node, Tick when);
 

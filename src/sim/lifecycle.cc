@@ -1,5 +1,7 @@
 #include "sim/lifecycle.hh"
 
+#include <iterator>
+
 #include "sim/stats.hh"
 
 namespace shrimp
@@ -8,15 +10,21 @@ namespace shrimp
 namespace
 {
 
-constexpr const char *kStageNames[] = {
-    "send_overhead", "ni_wait", "wire", "rx_fifo", "delivery", "total",
-};
+using M = LifeMark;
 
-constexpr const char *kHistNames[] = {
-    "lifecycle.send_overhead_us", "lifecycle.ni_wait_us",
-    "lifecycle.wire_us",          "lifecycle.rx_fifo_us",
-    "lifecycle.delivery_us",      "lifecycle.total_us",
+constexpr LifeStageDef kStages[] = {
+    {"send_overhead", "lifecycle.send_overhead_us", "pkt.send_overhead",
+     M::Born, M::Queued},
+    {"ni_wait", "lifecycle.ni_wait_us", "pkt.ni_wait", M::Queued,
+     M::Injected},
+    {"wire", "lifecycle.wire_us", "pkt.wire", M::Injected, M::Delivered},
+    {"rx_fifo", "lifecycle.rx_fifo_us", "pkt.rx_fifo", M::Delivered,
+     M::RxStart},
+    {"delivery", "lifecycle.delivery_us", "pkt.delivery", M::RxStart,
+     M::RxDone},
+    {"total", "lifecycle.total_us", "pkt.total", M::Born, M::RxDone},
 };
+static_assert(std::size(kStages) == std::size_t(LifeStage::kCount));
 
 /**
  * Log-bucket geometry: 6 decades (10 ns .. 10 ms in us units) at 64
@@ -31,43 +39,17 @@ constexpr std::size_t kBuckets = 384;
 
 } // anonymous namespace
 
-const char *
-lifeStageName(LifeStage s)
+const LifeStageDef &
+lifeStage(LifeStage s)
 {
-    return kStageNames[std::size_t(s)];
-}
-
-const char *
-lifeStageHistName(LifeStage s)
-{
-    return kHistNames[std::size_t(s)];
+    return kStages[std::size_t(s)];
 }
 
 void
-LifecycleTracer::enable(StatsRegistry &stats)
+enableLifecycle(StatsRegistry &stats)
 {
-    _histEnabled = true;
-    for (std::size_t s = 0; s < std::size_t(LifeStage::kCount); ++s)
-        hist[s] = &stats.logHistogram(kHistNames[s], kLoUs, kHiUs,
-                                      kBuckets);
-}
-
-void
-LifecycleTracer::record(Tick born, Tick queued, Tick injected,
-                        Tick delivered, Tick rx_start, Tick rx_done)
-{
-    if (!_histEnabled)
-        return;
-    auto stage = [&](LifeStage s, Tick from, Tick to) {
-        hist[std::size_t(s)]->sample(
-            toMicroseconds(to >= from ? to - from : 0));
-    };
-    stage(LifeStage::SendOverhead, born, queued);
-    stage(LifeStage::NiWait, queued, injected);
-    stage(LifeStage::Wire, injected, delivered);
-    stage(LifeStage::RxFifo, delivered, rx_start);
-    stage(LifeStage::Delivery, rx_start, rx_done);
-    stage(LifeStage::Total, born, rx_done);
+    for (const LifeStageDef &d : kStages)
+        stats.logHistogram(d.hist, kLoUs, kHiUs, kBuckets);
 }
 
 } // namespace shrimp

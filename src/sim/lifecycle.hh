@@ -1,16 +1,22 @@
 /**
  * @file
  * Per-packet lifecycle latency attribution (the flight recorder's
- * second half; the first is sim/metrics.hh).
+ * second half; the first is sim/metrics.hh): the one stage table that
+ * both packet-trace sinks read.
  *
- * When enabled, every data packet a NIC sends gets a trace id and a
- * set of timestamps carried through the mesh (mesh::PacketLife); on
- * delivery the receiving NIC hands the stamps back here and the
- * tracer accumulates per-stage durations into log-scale histograms
- * in the StatsRegistry. RunReport picks those up as the
- * "latency_breakdown" block (schema_version 3).
+ * Every data packet's NI payload carries a nic::PacketTrace: the
+ * causal context of the sending operation plus the born, queued and
+ * injected stamps. The receiving NIC adds three marks of its own --
+ * the tail's arrival (the moment the mesh hands the packet over), and
+ * the start and end of its receive DMA -- and its receive hook
+ * (NicBase::traceReceive) turns the six marks into stage durations.
+ * With lifecycle tracing on they feed log-scale per-stage histograms
+ * in the StatsRegistry, which RunReport picks up as the
+ * "latency_breakdown" block (schema_version 3); with the causal log
+ * open (sim/causal.hh) they become a "pkt.total" span with one child
+ * span per pipeline stage.
  *
- * Stage definitions (all derived from the stamps, microseconds):
+ * Stage definitions (microseconds):
  *
  *   send_overhead  queued   - born       CPU-side initiation: issue
  *                                        cost, queue-full waits, AU
@@ -26,7 +32,8 @@
  *                                        processing until data lands
  *   total          rxDone  - born        end-to-end
  *
- * Tracing is sampling-only with respect to the event stream: it adds
+ * The five pipeline stages partition [born, rxDone], so per-stage
+ * means over the causal log equal the histogram means. Tracing adds
  * no events and mutates no simulation state, so enabling it leaves
  * checksums and all pre-existing counters bit-identical.
  */
@@ -36,12 +43,9 @@
 
 #include <cstdint>
 
-#include "sim/types.hh"
-
 namespace shrimp
 {
 
-class Histogram;
 class StatsRegistry;
 
 /** The attribution stages, in pipeline order. */
@@ -56,51 +60,37 @@ enum class LifeStage
     kCount,
 };
 
-/** Stage name as it appears in reports ("send_overhead", ...). */
-const char *lifeStageName(LifeStage s);
+/** A packet's six lifecycle marks, in pipeline order. */
+enum class LifeMark : std::uint8_t
+{
+    Born,
+    Queued,
+    Injected,
+    Delivered,
+    RxStart,
+    RxDone,
+    kCount,
+};
 
-/** Histogram name for a stage ("lifecycle.send_overhead_us", ...). */
-const char *lifeStageHistName(LifeStage s);
+/** One row of the stage table. */
+struct LifeStageDef
+{
+    const char *name; //!< report name ("send_overhead", ...)
+    const char *hist; //!< histogram ("lifecycle.send_overhead_us", ...)
+    const char *span; //!< causal span ("pkt.send_overhead", ...)
+    LifeMark from;    //!< the stage starts at this mark...
+    LifeMark to;      //!< ...and ends at this one
+};
+
+/** The stage table's row for @p s. */
+const LifeStageDef &lifeStage(LifeStage s);
 
 /**
- * Issues trace ids and accumulates completed packets' stage
- * durations. One per cluster, shared by every NIC (the id sequence is
- * global so ids double as a total send order). Disabled by default;
- * enable() binds the per-stage histograms into a StatsRegistry.
+ * Create the per-stage histograms in @p stats. Lifecycle tracing is on
+ * exactly when they exist: the cluster creates them before it builds
+ * its NICs, and each NIC binds them at construction.
  */
-class LifecycleTracer
-{
-  public:
-    /** Create the per-stage histograms in @p stats and start tracing. */
-    void enable(StatsRegistry &stats);
-
-    /**
-     * Stamp packets but sample no histograms. Causal tracing
-     * (sim/causal.hh) needs the per-packet stamps without the
-     * histogram block, so its RunReport stays free of the
-     * latency_breakdown block.
-     */
-    void enableStamps() { _stampOnly = true; }
-
-    bool enabled() const { return _histEnabled || _stampOnly; }
-
-    /** Next trace id (> 0). Call only when enabled. */
-    std::uint64_t nextId() { return ++lastId; }
-
-    /**
-     * Record one delivered packet. The first four stamps come from
-     * mesh::PacketLife; @p rx_start / @p rx_done bracket the
-     * receiving NI's DMA into memory. No-op in stamp-only mode.
-     */
-    void record(Tick born, Tick queued, Tick injected, Tick delivered,
-                Tick rx_start, Tick rx_done);
-
-  private:
-    bool _histEnabled = false;
-    bool _stampOnly = false;
-    std::uint64_t lastId = 0;
-    Histogram *hist[std::size_t(LifeStage::kCount)] = {};
-};
+void enableLifecycle(StatsRegistry &stats);
 
 } // namespace shrimp
 

@@ -376,6 +376,13 @@ class StatsRegistry
         return it == histograms.end() ? nullptr : &it->second;
     }
 
+    Histogram *
+    findHistogram(const std::string &name)
+    {
+        auto it = histograms.find(name);
+        return it == histograms.end() ? nullptr : &it->second;
+    }
+
     /** All counters, sorted by name (tests, golden comparisons). */
     const std::map<std::string, Counter> &
     allCounters() const

@@ -22,12 +22,15 @@ namespace
 
 /**
  * Track names survive close()/open() cycles so cached track ids at
- * instrumentation sites never go stale.
+ * instrumentation sites never go stale. A trace names a track when it
+ * first uses it, so tracks registered earlier in the process stay out
+ * of a trace that never uses them.
  */
 struct TrackRegistry
 {
     std::vector<std::string> names;
     std::map<std::string, int> byName;
+    std::vector<bool> namedInTrace; //!< per id, for the open trace
 };
 
 TrackRegistry &
@@ -81,6 +84,19 @@ emitThreadName(int tid, const std::string &name)
                     tid, JsonWriter::escaped(name).c_str()));
 }
 
+/** Name @p track in the open trace before its first event there. */
+void
+useTrack(int track)
+{
+    auto &reg = tracks();
+    if (reg.namedInTrace.size() <= std::size_t(track))
+        reg.namedInTrace.resize(reg.names.size(), false);
+    if (!reg.namedInTrace[track]) {
+        reg.namedInTrace[track] = true;
+        emitThreadName(track, reg.names[track]);
+    }
+}
+
 void
 appendArgs(std::string &line, const std::string &args_json)
 {
@@ -106,10 +122,7 @@ open(const std::string &path)
 
     emitLine("{\"ph\":\"M\",\"pid\":0,"
              "\"name\":\"process_name\",\"args\":{\"name\":\"shrimp\"}}");
-    // Tracks registered before this open() still need their names.
-    auto &reg = tracks();
-    for (std::size_t i = 0; i < reg.names.size(); ++i)
-        emitThreadName(int(i), reg.names[i]);
+    tracks().namedInTrace.clear();
 }
 
 void
@@ -152,8 +165,6 @@ track(const std::string &name)
     int id = int(reg.names.size());
     reg.names.push_back(name);
     reg.byName.emplace(name, id);
-    if (detail::g_enabled)
-        emitThreadName(id, name);
     return id;
 }
 
@@ -165,6 +176,7 @@ completeEvent(int track, const char *name, Tick start, Tick end,
         return;
     if (end < start)
         end = start;
+    useTrack(track);
     std::string line =
         strfmt("{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":", track);
     printUs(line, start);
@@ -181,6 +193,7 @@ instantEvent(int track, const char *name, const std::string &args_json)
 {
     if (!detail::g_enabled)
         return;
+    useTrack(track);
     std::string line =
         strfmt("{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":",
                track);

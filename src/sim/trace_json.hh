@@ -54,7 +54,8 @@ void openFromEnv();
 /**
  * Get (or create) the track named @p name. Track ids are stable for
  * the lifetime of the process, so call sites may cache them even
- * across close()/open() cycles.
+ * across close()/open() cycles. A trace names a track (a thread_name
+ * record) just before the first event it puts there.
  */
 int track(const std::string &name);
 

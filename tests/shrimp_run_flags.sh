@@ -1,5 +1,5 @@
 #!/bin/sh
-# shrimp_run must reject a malformed or out-of-range integer flag
+# shrimp_run must reject a malformed or out-of-range numeric flag
 # before running anything: exit status 2, with the flag named on
 # stderr. Usage: shrimp_run_flags.sh path/to/shrimp_run
 #
@@ -37,6 +37,18 @@ for value in 0 -2 abc 12abc "" " 5" +5; do
 done
 for flag in --seed --fault-seed; do
     for value in -1 abc 12abc "" +5 18446744073709551616; do
+        expect_rejected "$flag" "$value"
+    done
+done
+# Real-valued flags: the whole argument must be a plain decimal
+# number in range (rates in [0, 1], durations not negative).
+for flag in --fault-drop-rate --fault-corrupt-rate --fault-jitter-rate; do
+    for value in abc 0.5x "" -0.1 1.5 +0.5 nan inf 0x1; do
+        expect_rejected "$flag" "$value"
+    done
+done
+for flag in --fault-max-jitter --metrics-interval-us; do
+    for value in abc 10us "" -5 +5 nan inf 1e300; do
         expect_rejected "$flag" "$value"
     done
 done

@@ -349,6 +349,31 @@ TEST(TraceJson, DocumentParsesAndSpansNest)
     std::remove(path.c_str());
 }
 
+/**
+ * A trace names only the tracks it uses, when it first uses them: a
+ * second identical run in the same process writes the same file,
+ * although the first run registered every track it touches and other
+ * work in between registered one it never uses.
+ */
+TEST(TraceJson, IdenticalRunsInOneProcessWriteIdenticalTraces)
+{
+    const std::string path = "test_trace_report_twice.trace.json";
+    std::string first, second;
+    for (std::string *text : {&first, &second}) {
+        if (text == &second)
+            trace_json::track("TraceJson.registered_between_runs");
+        trace_json::open(path);
+        runTracedScenario();
+        trace_json::close();
+        *text = slurp(path);
+    }
+    std::remove(path.c_str());
+    ASSERT_FALSE(first.empty());
+    EXPECT_TRUE(first == second)
+        << "the second trace differs from the first ("
+        << first.size() << " vs " << second.size() << " bytes)";
+}
+
 TEST(TraceJson, DisabledRecorderEmitsNothing)
 {
     EXPECT_FALSE(trace_json::enabled());

@@ -156,17 +156,27 @@ Options::parse(int argc, char **argv)
         }
         return argv[++i];
     };
-    auto needRate = [&](int &i) -> double {
+    // Real-valued flags parse as strictly: the whole argument must be
+    // a plain decimal number (no sign, hex, inf or nan) in [lo, hi].
+    auto needReal = [&](int &i, double lo, double hi) -> double {
         const char *flag = argv[i];
-        double p = std::atof(need(i));
-        if (p < 0.0 || p > 1.0) {
+        const char *v = need(i);
+        char *end = nullptr;
+        errno = 0;
+        double x = std::strtod(v, &end);
+        bool plain = std::isdigit(static_cast<unsigned char>(*v)) ||
+                     *v == '.';
+        if (!plain || v[std::strspn(v, "0123456789.eE+-")] != '\0' ||
+            *end != '\0' || errno == ERANGE || !(x >= lo && x <= hi)) {
             std::fprintf(stderr,
-                         "%s: %s wants a probability in [0, 1], got %g\n",
-                         argv[0], flag, p);
+                         "%s: %s wants a number in [%g, %g], got '%s'\n",
+                         argv[0], flag, lo, hi, v);
             usage(argv[0]);
         }
-        return p;
+        return x;
     };
+    // Durations stop at one simulated hour, far inside a Tick.
+    constexpr double kHourUs = 3600e6;
     // Integer flags parse strictly: the whole argument must be a
     // decimal integer in [lo, hi], or the run stops here instead of
     // dividing by a zero processor count downstream.
@@ -284,14 +294,14 @@ Options::parse(int argc, char **argv)
         } else if (a == "--du-queue") {
             o.cluster.shrimpNic.duQueueDepth = needInt(i, 1, kIntMax);
         } else if (a == "--fault-drop-rate") {
-            o.cluster.network.fault.dropRate = needRate(i);
+            o.cluster.network.fault.dropRate = needReal(i, 0, 1);
         } else if (a == "--fault-corrupt-rate") {
-            o.cluster.network.fault.corruptRate = needRate(i);
+            o.cluster.network.fault.corruptRate = needReal(i, 0, 1);
         } else if (a == "--fault-jitter-rate") {
-            o.cluster.network.fault.jitterRate = needRate(i);
+            o.cluster.network.fault.jitterRate = needReal(i, 0, 1);
         } else if (a == "--fault-max-jitter") {
             o.cluster.network.fault.maxJitter =
-                nanoseconds(std::atof(need(i)));
+                nanoseconds(needReal(i, 0, kHourUs * 1e3));
         } else if (a == "--fault-seed") {
             o.cluster.network.fault.seed = needU64(i, 0, kU64Max);
         } else if (a == "--fault-link-down") {
@@ -317,7 +327,7 @@ Options::parse(int argc, char **argv)
             o.metricsFile = need(i);
         } else if (a == "--metrics-interval-us") {
             o.cluster.metricsInterval =
-                microseconds(std::atof(need(i)));
+                microseconds(needReal(i, 0, kHourUs));
         } else if (a == "--lifecycle") {
             o.cluster.lifecycleTracing = true;
         } else if (a == "--watchdog-secs") {
