@@ -16,8 +16,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -29,28 +27,25 @@
 #include "apps/radix.hh"
 #include "apps/render.hh"
 #include "bench/sweep.hh"
+#include "core/run_config.hh"
 #include "nic/nic_kind.hh"
 
 namespace shrimp::bench
 {
 
 /**
- * Base cluster config for a bench binary, with the SHRIMP_NIC
- * environment override (shrimp | baseline | modern) applied — every
- * table can be re-run on an alternate adapter without new flags.
- * Benches that compare NICs explicitly set ClusterConfig::nicKind on
- * their own configs instead, which this helper never touches.
+ * Base cluster config for every bench: the defaults with every
+ * SHRIMP_* cluster knob applied (core/run_config.hh), so any table
+ * can be re-run on an alternate adapter (SHRIMP_NIC), a bigger mesh
+ * (SHRIMP_MESH; the paper's 16-node procs fit every geometry >= 4x4)
+ * or a lossy backplane. A field the bench sets afterwards wins:
+ * benches that compare NICs set nicKind, withFaults() sets the fault
+ * rates.
  */
 inline core::ClusterConfig
 benchCluster()
 {
-    core::ClusterConfig cc;
-    cc.nicKind = nic::nicKindFromEnv(cc.nicKind);
-    // The topology sweep axis rides along the same way: SHRIMP_MESH
-    // re-runs any table on a bigger mesh (the paper's tables assume
-    // its 16-node procs fit, which every geometry >= 4x4 satisfies).
-    core::meshFromEnv(cc.meshWidth, cc.meshHeight);
-    return cc;
+    return core::envRunConfig().cluster;
 }
 
 /**
@@ -78,14 +73,14 @@ bestAu(const core::ClusterConfig &cc)
 inline bool
 fullScale()
 {
-    const char *v = std::getenv("SHRIMP_SCALE");
-    return v && std::strcmp(v, "full") == 0;
+    return core::envRunConfig().fullScale;
 }
 
-/** Print the standard bench banner. */
+/** Print the standard bench banner; first, apply the environment. */
 inline void
 banner(const char *what, const char *paper_ref)
 {
+    core::startFromEnv();
     std::printf("=== %s ===\n", what);
     std::printf("reproduces: %s\n", paper_ref);
     std::printf("scale: %s (set SHRIMP_SCALE=full for paper sizes)\n\n",
@@ -185,14 +180,6 @@ renderConfig()
 // Machine-readable reports
 // ----------------------------------------------------------------------
 
-/** True when SHRIMP_REPORT_HOST=1 asks for host-perf in reports. */
-inline bool
-reportHostPerf()
-{
-    const char *v = std::getenv("SHRIMP_REPORT_HOST");
-    return v && *v && std::strcmp(v, "0") != 0;
-}
-
 /**
  * If SHRIMP_REPORT_JSONL names a file, append @p r as one compact
  * RunReport line (through the sweep-safe sink; see bench/sweep.hh).
@@ -204,38 +191,25 @@ reportHostPerf()
 inline void
 maybeEmitReport(const apps::AppResult &r)
 {
+    core::RunConfig env = core::envRunConfig();
     // Flight-recorder time series go to their own SHRIMP_METRICS file
     // regardless of whether the report sink is configured.
-    if (std::getenv("SHRIMP_METRICS") && !r.metrics.empty()) {
+    if (!env.metricsFile.empty() && !r.metrics.empty()) {
         std::ostringstream ss;
         r.metrics.writeJsonl(ss, r.name, r.metricsInterval);
         emitMetrics(ss.str());
     }
 
-    const char *path = std::getenv("SHRIMP_REPORT_JSONL");
-    if (!path || !*path)
+    if (env.reportJsonl.empty())
         return;
-    RunReport rep = apps::makeReport(r);
-    // Identify an ambient topology override in the JSONL stream:
-    // default-mesh lines stay byte-identical, SHRIMP_MESH runs
-    // identify their geometry (unless the bench already stamped one
-    // itself).
-    int mw = 4, mh = 4;
-    core::meshFromEnv(mw, mh);
-    if ((mw != 4 || mh != 4) && !rep.params.count("mesh"))
-        rep.params["mesh"] =
-            std::to_string(mw) + "x" + std::to_string(mh);
-    if (reportHostPerf()) {
-        rep.host.enabled = true;
-        rep.host.wallSeconds = r.hostWallSeconds;
-        rep.host.events = r.hostEvents;
-        rep.host.eventsPerSec = r.hostWallSeconds > 0
-                                    ? double(r.hostEvents) /
-                                          r.hostWallSeconds
-                                    : 0;
-        rep.host.fiberSwitches = r.hostFiberSwitches;
-        fillHostRusage(rep.host);
-    }
+    RunReport rep = apps::makeReport(r, env.reportHost);
+    // Identify a non-default topology in the JSONL stream (unless the
+    // bench already stamped one itself): default-mesh lines stay
+    // byte-identical.
+    if ((r.meshWidth != 4 || r.meshHeight != 4) &&
+        !rep.params.count("mesh"))
+        rep.params["mesh"] = std::to_string(r.meshWidth) + "x" +
+                             std::to_string(r.meshHeight);
     emitReport(rep);
 }
 

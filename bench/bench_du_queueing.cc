@@ -39,9 +39,9 @@ main()
 
     bool ok = true;
     for (const auto &cse : cases) {
-        core::ClusterConfig depth1;
+        core::ClusterConfig depth1 = benchCluster();
         depth1.shrimpNic.duQueueDepth = 1;
-        core::ClusterConfig depth2;
+        core::ClusterConfig depth2 = benchCluster();
         depth2.shrimpNic.duQueueDepth = 2;
 
         AppResult r1, r2;

@@ -58,7 +58,7 @@ main()
             cells.push_back({name, p});
             auto run_at = spec->runAt;
             jobs.push_back([run_at, p] {
-                core::ClusterConfig cc;
+                core::ClusterConfig cc = benchCluster();
                 return run_at(cc, p);
             });
         }

@@ -28,7 +28,7 @@ namespace
 AppResult
 runApp(const std::string &app, Protocol proto, int nprocs)
 {
-    core::ClusterConfig cc;
+    core::ClusterConfig cc = benchCluster();
     if (app == "Barnes-SVM")
         return runBarnesSvm(cc, proto, nprocs, barnesSvmConfig());
     if (app == "Ocean-SVM")

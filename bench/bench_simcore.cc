@@ -153,11 +153,10 @@ BM_FiberSwitchRaw(benchmark::State &state)
 BENCHMARK(BM_FiberSwitchRaw);
 
 /**
- * The old fiber engine measured directly: a raw swapcontext
- * ping-pong, independent of how the build's Fiber is configured.
- * Keeps the before/after comparison in one binary — compare against
- * BM_FiberSwitchRaw to see what retiring the per-switch sigprocmask
- * bought on this host.
+ * The retired fiber engine measured directly: a raw swapcontext
+ * ping-pong. Keeps the before/after comparison in one binary —
+ * compare against BM_FiberSwitchRaw to see what retiring the
+ * per-switch sigprocmask bought on this host.
  */
 void
 BM_UcontextSwitchBaseline(benchmark::State &state)

@@ -51,7 +51,7 @@ main()
         auto run = spec->run;
         for (bool udma_sends : {true, false}) {
             jobs.push_back([run, udma_sends] {
-                core::ClusterConfig cc;
+                core::ClusterConfig cc = benchCluster();
                 cc.udmaSends = udma_sends;
                 return run(cc);
             });

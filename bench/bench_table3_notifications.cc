@@ -57,7 +57,7 @@ main()
         rows.push_back(row);
         auto run = spec->run;
         jobs.push_back([run] {
-            core::ClusterConfig cc;
+            core::ClusterConfig cc = benchCluster();
             return run(cc);
         });
     }

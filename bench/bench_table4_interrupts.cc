@@ -52,7 +52,7 @@ main()
         auto run = spec->run;
         for (bool forced : {false, true}) {
             jobs.push_back([run, forced] {
-                core::ClusterConfig cc;
+                core::ClusterConfig cc = benchCluster();
                 cc.shrimpNic.interruptPerMessage = forced;
                 return run(cc);
             });

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "core/run_config.hh"
 #include "sim/causal.hh"
 #include "sim/logging.hh"
 #include "sim/run_report.hh"
@@ -19,34 +19,29 @@ namespace
 {
 
 /**
- * An append-only line sink bound to an environment variable naming
- * its file: one shared FILE handle for the whole process, lazily
- * opened, append-guarded by a mutex. A bad path is complained about
- * exactly once. Chunks are written verbatim (callers terminate their
- * own lines), so one sink serves both the one-line RunReport stream
- * and multi-line metrics series.
+ * An append-only line sink: one shared FILE handle for the whole
+ * process, lazily opened, append-guarded by a mutex. A bad path is
+ * complained about exactly once. Chunks are written verbatim (callers
+ * terminate their own lines), so one sink serves both the one-line
+ * RunReport stream and multi-line metrics series.
  */
 class LineSink
 {
   public:
-    explicit LineSink(const char *env_var) : envVar(env_var) {}
-
+    /** Append @p chunk to the file @p p (the knob's current value). */
     void
-    append(const std::string &chunk)
+    append(const std::string &p, const std::string &chunk)
     {
         std::lock_guard<std::mutex> lock(mutex);
-        const char *p = std::getenv(envVar);
-        if (!p || !*p)
-            return;
         // Open once per path; if the environment repoints the sink
         // (tests do), switch files. A bad path warns exactly once.
         if (path != p) {
             if (out)
                 std::fclose(out);
             path = p;
-            out = std::fopen(p, "a");
+            out = std::fopen(p.c_str(), "a");
             if (!out)
-                warn("cannot append to %s (%s)", p, envVar);
+                warn("cannot append to %s", p.c_str());
         }
         if (!out)
             return;
@@ -54,33 +49,14 @@ class LineSink
         std::fflush(out);
     }
 
-    bool
-    enabled() const
-    {
-        const char *p = std::getenv(envVar);
-        return p && *p;
-    }
-
   private:
-    const char *envVar;
     std::string path;
     std::mutex mutex;
     std::FILE *out = nullptr;
 };
 
-LineSink &
-reportSink()
-{
-    static LineSink sink("SHRIMP_REPORT_JSONL");
-    return sink;
-}
-
-LineSink &
-metricsSink()
-{
-    static LineSink sink("SHRIMP_METRICS");
-    return sink;
-}
+LineSink g_reportSink;  //!< SHRIMP_REPORT_JSONL
+LineSink g_metricsSink; //!< SHRIMP_METRICS
 
 /**
  * While a sweep job runs, its thread redirects report lines and
@@ -114,20 +90,14 @@ assertSinkOwnership(const char *what)
 int
 sweepJobs()
 {
-    const char *v = std::getenv("SHRIMP_JOBS");
-    if (!v || !*v)
-        return 1;
-    int n = std::atoi(v);
-    if (n < 1)
-        return 1;
-    return n > 64 ? 64 : n;
+    return core::envRunConfig().jobs;
 }
 
 void
 emitReport(const RunReport &report)
 {
-    LineSink &sink = reportSink();
-    if (!sink.enabled())
+    std::string path = core::envRunConfig().reportJsonl;
+    if (path.empty())
         return;
     std::string line = report.toJson(/*pretty=*/false);
     line += '\n';
@@ -135,21 +105,21 @@ emitReport(const RunReport &report)
         tl_report_buffer->push_back(std::move(line));
     } else {
         assertSinkOwnership("emitReport");
-        sink.append(line);
+        g_reportSink.append(path, line);
     }
 }
 
 void
 emitMetrics(const std::string &chunk)
 {
-    LineSink &sink = metricsSink();
-    if (!sink.enabled())
+    std::string path = core::envRunConfig().metricsFile;
+    if (path.empty())
         return;
     if (tl_metrics_buffer) {
         tl_metrics_buffer->push_back(chunk);
     } else {
         assertSinkOwnership("emitMetrics");
-        sink.append(chunk);
+        g_metricsSink.append(path, chunk);
     }
 }
 
@@ -174,12 +144,10 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
     };
 
     // Both recorders are process-global and single-threaded. Open
-    // them from the environment here, before any worker exists (each
-    // Cluster would otherwise race to open them), and keep a
-    // recording sweep on one worker.
-    trace_json::openFromEnv();
-    causal::openFromEnv();
-    std::size_t workers = std::size_t(sweepJobs());
+    // them from the environment here, before any worker exists, and
+    // keep a recording sweep on one worker.
+    core::RunConfig env = core::startFromEnv();
+    std::size_t workers = std::size_t(env.jobs);
     if (workers > count)
         workers = count;
     if (trace_json::enabled() || causal::enabled())
@@ -214,10 +182,10 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
     // Submission-ordered flush: byte-identical serial vs parallel.
     for (auto &buf : buffers)
         for (auto &line : buf)
-            reportSink().append(line);
+            g_reportSink.append(env.reportJsonl, line);
     for (auto &buf : metricsBuffers)
         for (auto &chunk : buf)
-            metricsSink().append(chunk);
+            g_metricsSink.append(env.metricsFile, chunk);
 }
 
 } // namespace detail

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/run_config.hh"
 #include "sockets/socket.hh"
 
 using namespace shrimp;
@@ -20,7 +21,7 @@ using namespace shrimp::sock;
 int
 main()
 {
-    core::Cluster cluster;
+    core::Cluster cluster(core::startFromEnv().cluster); // SHRIMP_* knobs
     SocketDomain dom(cluster);
 
     const std::size_t kBlock = 8192;

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/run_config.hh"
 #include "msg/nx.hh"
 
 using namespace shrimp;
@@ -20,7 +21,7 @@ using namespace shrimp;
 int
 main()
 {
-    core::Cluster cluster;
+    core::Cluster cluster(core::startFromEnv().cluster); // SHRIMP_* knobs
     msg::NxConfig cfg;
     cfg.nprocs = 2;
     cfg.ringBytes = 512 * 1024; // room for the largest streamed size

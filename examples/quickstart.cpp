@@ -18,6 +18,7 @@
 #include <cstring>
 
 #include "core/cluster.hh"
+#include "core/run_config.hh"
 #include "core/vmmc.hh"
 
 using namespace shrimp;
@@ -26,7 +27,8 @@ using namespace shrimp::core;
 int
 main()
 {
-    Cluster cluster; // 4x4 mesh of 60 MHz Pentium nodes, SHRIMP NIs
+    // 4x4 mesh of 60 MHz Pentium nodes, SHRIMP NIs; see README's knobs.
+    Cluster cluster(startFromEnv().cluster);
 
     // Plumbing the two sides share.
     ExportHandle exported;

@@ -15,6 +15,7 @@
 #include <map>
 #include <vector>
 
+#include "core/run_config.hh"
 #include "msg/bsp.hh"
 #include "msg/rpc.hh"
 
@@ -47,7 +48,7 @@ struct KvReply
 int
 main()
 {
-    core::Cluster cluster;
+    core::Cluster cluster(core::startFromEnv().cluster); // SHRIMP_* knobs
     RpcDomain rpc(cluster);
     BspConfig bcfg;
     bcfg.nprocs = 5;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/run_config.hh"
 #include "svm/svm.hh"
 
 using namespace shrimp;
@@ -27,9 +28,9 @@ struct Outcome
 };
 
 Outcome
-runOnce(Protocol protocol)
+runOnce(const core::ClusterConfig &cc, Protocol protocol)
 {
-    core::Cluster cluster;
+    core::Cluster cluster(cc);
     const int kProcs = 8;
     const int kN = 128;
     const int kIters = 10;
@@ -115,13 +116,14 @@ runOnce(Protocol protocol)
 int
 main()
 {
+    core::ClusterConfig cc = core::startFromEnv().cluster; // SHRIMP_* knobs
     std::printf("%-8s %10s  %8s %8s %6s %8s %9s   %s\n", "protocol",
                 "time(ms)", "comp%", "comm%", "lock%", "barrier%",
                 "overhead%", "checksum");
 
     for (Protocol p :
          {Protocol::HLRC, Protocol::HLRC_AU, Protocol::AURC}) {
-        Outcome o = runOnce(p);
+        Outcome o = runOnce(cc, p);
         double total = double(o.combined.grandTotal());
         auto pct = [&](TimeCategory c) {
             return 100.0 * double(o.combined.total(c)) / total;

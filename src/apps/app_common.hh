@@ -75,6 +75,10 @@ struct AppResult
     /** Sampling cadence the series was recorded at (0 = off). */
     Tick metricsInterval = 0;
 
+    /** Mesh geometry the run was simulated on. */
+    int meshWidth = 4;
+    int meshHeight = 4;
+
     /** Host wall time of the run; filled by the bench harness. */
     double hostWallSeconds = 0;
 
@@ -110,11 +114,17 @@ captureStats(AppResult &result, core::Cluster &cluster)
     result.hostFiberSwitches = cluster.sim().fiberSwitchTotal();
     result.metrics = cluster.metrics().series();
     result.metricsInterval = cluster.config().metricsInterval;
+    result.meshWidth = cluster.config().meshWidth;
+    result.meshHeight = cluster.config().meshHeight;
 }
 
-/** Assemble the machine-readable report for a finished run. */
+/**
+ * Assemble the machine-readable report for a finished run. Host-side
+ * timing is non-deterministic, so the `host` block rides along only
+ * when @p host asks for it (SHRIMP_REPORT_HOST).
+ */
 inline RunReport
-makeReport(const AppResult &r)
+makeReport(const AppResult &r, bool host = false)
 {
     RunReport rep;
     rep.app = r.name;
@@ -156,6 +166,17 @@ makeReport(const AppResult &r)
             sl.p99Us = h->percentile(99);
             rep.latency.stages.push_back(std::move(sl));
         }
+    }
+    if (host) {
+        rep.host.enabled = true;
+        rep.host.wallSeconds = r.hostWallSeconds;
+        rep.host.events = r.hostEvents;
+        rep.host.eventsPerSec = r.hostWallSeconds > 0
+                                    ? double(r.hostEvents) /
+                                          r.hostWallSeconds
+                                    : 0;
+        rep.host.fiberSwitches = r.hostFiberSwitches;
+        fillHostRusage(rep.host);
     }
     return rep;
 }

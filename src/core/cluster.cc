@@ -1,11 +1,9 @@
 #include "core/cluster.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 
 #include "core/vmmc.hh"
-#include "sim/causal.hh"
 #include "sim/lifecycle.hh"
 #include "sim/logging.hh"
 #include "sim/trace_json.hh"
@@ -33,48 +31,8 @@ parseMesh(const char *spec, int &width, int &height)
     return true;
 }
 
-void
-meshFromEnv(int &width, int &height)
-{
-    const char *e = std::getenv("SHRIMP_MESH");
-    if (!e || !*e)
-        return;
-    if (!parseMesh(e, width, height))
-        fatal("SHRIMP_MESH='%s' is not a valid WxH mesh spec "
-              "(product limit %d nodes)",
-              e, mesh::kMaxMeshNodes);
-}
-
 Cluster::Cluster(const ClusterConfig &config) : _config(config)
 {
-    trace_json::openFromEnv();
-    causal::openFromEnv();
-    // Environment fault knobs (SHRIMP_FAULT_*) layer on top of the
-    // programmatic config, so any tool or benchmark can be run against
-    // a lossy backplane without changing code.
-    _config.network.fault = mesh::faultParamsFromEnv(_config.network.fault);
-    // Flight-recorder knobs follow the same pattern: SHRIMP_METRICS
-    // names the sink (consumed by the benchmarks/tools), and setting
-    // it implies a default 10 us sampling cadence here.
-    if (const char *e = std::getenv("SHRIMP_LIFECYCLE");
-        e && *e && *e != '0')
-        _config.lifecycleTracing = true;
-    if (const char *e = std::getenv("SHRIMP_METRICS_INTERVAL_US");
-        e && *e)
-        _config.metricsInterval = microseconds(std::atof(e));
-    if (_config.metricsInterval == 0 && std::getenv("SHRIMP_METRICS"))
-        _config.metricsInterval = microseconds(10);
-    // The soak watchdog layers the same way: the environment fills in
-    // the default only, an explicit config value wins.
-    if (_config.watchdogSecs <= 0) {
-        if (const char *e = std::getenv("SHRIMP_WATCHDOG_SECS");
-            e && *e)
-            _config.watchdogSecs = std::atoi(e);
-    }
-    // SHRIMP_MESH follows the same layering: it overrides the 4x4
-    // default, never an explicitly-configured geometry.
-    if (_config.meshWidth == 4 && _config.meshHeight == 4)
-        meshFromEnv(_config.meshWidth, _config.meshHeight);
     _network = std::make_unique<mesh::Network>(
         _sim, _config.meshWidth, _config.meshHeight, _config.network);
 

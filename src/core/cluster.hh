@@ -35,26 +35,13 @@ class Endpoint;
  */
 bool parseMesh(const char *spec, int &width, int &height);
 
-/**
- * SHRIMP_MESH resolved against programmatic defaults: when the
- * variable is set and non-empty it overrides (@p width, @p height).
- * A malformed spec is fatal — a bad mesh must fail loudly, not run
- * 4x4 silently.
- */
-void meshFromEnv(int &width, int &height);
-
 /** Which network interface the cluster is built with (nic/nic_kind.hh). */
 using NicKind = nic::NicKind;
 
 /** Everything needed to build a cluster. */
 struct ClusterConfig
 {
-    /**
-     * Mesh geometry. The 4x4 Paragon default matches the paper; the
-     * SHRIMP_MESH environment variable ("WxH") layers onto the
-     * default only, so configs that name a geometry explicitly keep
-     * it.
-     */
+    /** Mesh geometry. The 4x4 Paragon default matches the paper. */
     int meshWidth = 4;
     int meshHeight = 4;
 
@@ -86,8 +73,7 @@ struct ClusterConfig
 
     /**
      * Flight-recorder sampling cadence (simulated time); 0 disables
-     * the metrics sampler. Also settable via SHRIMP_METRICS_INTERVAL_US
-     * (setting SHRIMP_METRICS alone defaults the cadence to 10 us).
+     * the metrics sampler.
      */
     Tick metricsInterval = 0;
 
@@ -95,7 +81,6 @@ struct ClusterConfig
      * Per-packet lifecycle latency attribution. Adds per-stage
      * histograms and a latency_breakdown report block; sampling is
      * read-only, so simulated timing and checksums are unchanged.
-     * Also settable via SHRIMP_LIFECYCLE=1.
      */
     bool lifecycleTracing = false;
 
@@ -103,14 +88,14 @@ struct ClusterConfig
      * Soak watchdog (sim/watchdog.hh): when > 0, run() starts a
      * wall-clock thread that dumps progress state to stderr if
      * simulated time stops advancing for this many real seconds (or
-     * on SIGUSR1). Read-only observation; 0 disables. Also settable
-     * via SHRIMP_WATCHDOG_SECS (layers onto the default only).
+     * on SIGUSR1). Read-only observation; 0 disables.
      */
     int watchdogSecs = 0;
 };
 
 /**
- * A SHRIMP cluster instance.
+ * A SHRIMP cluster instance, built with its config as given (the
+ * environment is applied by entry points; see core/run_config.hh).
  */
 class Cluster
 {

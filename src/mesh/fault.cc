@@ -1,7 +1,6 @@
 #include "mesh/fault.hh"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -29,13 +28,6 @@ crossingSeed(std::uint64_t seed, int link, std::uint64_t crossing)
     return mix64(mix64(seed ^ (std::uint64_t(link) << 32)) ^ crossing);
 }
 
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v && *v ? std::atof(v) : fallback;
-}
-
 } // anonymous namespace
 
 bool
@@ -58,42 +50,6 @@ parseLinkOutage(const std::string &spec, LinkOutage &out)
     out.from = microseconds(t0);
     out.until = microseconds(t1);
     return true;
-}
-
-FaultParams
-faultParamsFromEnv(FaultParams base)
-{
-    base.dropRate = envDouble("SHRIMP_FAULT_DROP_RATE", base.dropRate);
-    base.corruptRate =
-        envDouble("SHRIMP_FAULT_CORRUPT_RATE", base.corruptRate);
-    base.jitterRate =
-        envDouble("SHRIMP_FAULT_JITTER_RATE", base.jitterRate);
-    if (const char *v = std::getenv("SHRIMP_FAULT_MAX_JITTER_NS");
-        v && *v)
-        base.maxJitter = nanoseconds(std::atof(v));
-    if (const char *v = std::getenv("SHRIMP_FAULT_SEED"); v && *v)
-        base.seed = std::strtoull(v, nullptr, 10);
-    if (const char *v = std::getenv("SHRIMP_FAULT_RELIABILITY"); v && *v)
-        base.forceReliability = std::strcmp(v, "0") != 0;
-    if (const char *v = std::getenv("SHRIMP_FAULT_LINK_DOWN"); v && *v) {
-        std::string specs(v);
-        std::size_t pos = 0;
-        while (pos <= specs.size()) {
-            std::size_t comma = specs.find(',', pos);
-            std::string one = specs.substr(
-                pos, comma == std::string::npos ? comma : comma - pos);
-            LinkOutage o;
-            if (!parseLinkOutage(one, o))
-                fatal("SHRIMP_FAULT_LINK_DOWN: bad spec '%s' "
-                      "(want link:t0us:t1us)",
-                      one.c_str());
-            base.outages.push_back(o);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-    }
-    return base;
 }
 
 FaultInjector::FaultInjector(const FaultParams &params, int link_count)

@@ -1,9 +1,5 @@
 #include "nic/nic_kind.hh"
 
-#include <cstdlib>
-
-#include "sim/logging.hh"
-
 namespace shrimp::nic
 {
 
@@ -33,19 +29,6 @@ parseNicKind(std::string_view name, NicKind &out)
     else
         return false;
     return true;
-}
-
-NicKind
-nicKindFromEnv(NicKind fallback)
-{
-    const char *e = std::getenv("SHRIMP_NIC");
-    if (!e || !*e)
-        return fallback;
-    NicKind kind;
-    if (!parseNicKind(e, kind))
-        fatal("SHRIMP_NIC=%s: unknown NIC kind (want "
-              "shrimp|baseline|modern)", e);
-    return kind;
 }
 
 NicCaps

@@ -1,8 +1,8 @@
 /**
  * @file
  * NIC kind enumeration, the capability surface upper layers program
- * against, and the one shared spelling of `--nic` / SHRIMP_NIC
- * parsing used by tools, benches and tests.
+ * against, and the one shared spelling of NIC kind names
+ * (`--nic` / SHRIMP_NIC, parsed in core/run_config.cc).
  */
 
 #ifndef SHRIMP_NIC_NIC_KIND_HH
@@ -54,14 +54,6 @@ const char *nicKindName(NicKind kind);
  * @return false (leaving @p out untouched) on an unknown name.
  */
 bool parseNicKind(std::string_view name, NicKind &out);
-
-/**
- * The kind named by the SHRIMP_NIC environment variable, or
- * @p fallback when unset. Dies on an unparseable value so a typo in
- * a bench sweep fails loudly instead of silently testing the wrong
- * adapter.
- */
-NicKind nicKindFromEnv(NicKind fallback);
 
 /**
  * Capability table by kind: what a cluster built with @p kind will

@@ -126,24 +126,6 @@ close()
     out = nullptr;
 }
 
-void
-openFromEnv()
-{
-    if (detail::g_enabled)
-        return;
-    const char *path = std::getenv("SHRIMP_CAUSAL");
-    if (path && *path) {
-        open(path);
-        // Env-enabled binaries (examples, benches) never call close()
-        // themselves; without it the buffered records are lost.
-        static bool registered = false;
-        if (!registered) {
-            registered = true;
-            std::atexit([] { close(); });
-        }
-    }
-}
-
 CauseCtx
 current()
 {

@@ -80,12 +80,6 @@ void open(const std::string &path);
 void close();
 
 /**
- * Open a log if the SHRIMP_CAUSAL environment variable names a file.
- * Called by Cluster construction; harmless to repeat.
- */
-void openFromEnv();
-
-/**
  * The context of the operation executing on this thread's stream: the
  * current Process's slot when a fiber is running, else the thread's
  * event-context slot (set by EventCtxScope inside delivery events).

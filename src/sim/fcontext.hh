@@ -22,19 +22,16 @@
  * free — abandoning a suspended context is simply never jumping to it
  * again.
  *
- * Assembly implementations live in fcontext.S, compiled only when the
- * build selects the fast path (see SHRIMP_UCONTEXT_FIBERS in the
- * top-level CMakeLists.txt); sim/fiber.cc is the only client.
+ * Assembly implementations live in fcontext.S (x86-64 and aarch64;
+ * configuring on another architecture fails, see the top-level
+ * CMakeLists.txt); sim/fiber.cc is the only client.
  */
 
 #ifndef SHRIMP_SIM_FCONTEXT_HH
 #define SHRIMP_SIM_FCONTEXT_HH
 
-#if !defined(SHRIMP_UCONTEXT_FIBERS)
-
 #if !defined(__x86_64__) && !defined(__aarch64__)
-#error "no fcontext port for this architecture; configure with " \
-       "-DSHRIMP_UCONTEXT_FIBERS=ON"
+#error "no fcontext port for this architecture (see sim/fcontext.S)"
 #endif
 
 namespace shrimp
@@ -85,7 +82,5 @@ shrimp::fctx::Context shrimp_fctx_make(void *stack_top,
                                                      void *arg));
 
 } // extern "C"
-
-#endif // !SHRIMP_UCONTEXT_FIBERS
 
 #endif // SHRIMP_SIM_FCONTEXT_HH

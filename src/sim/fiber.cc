@@ -122,14 +122,10 @@ Fiber::run()
     ++_switches;
     // Return to whoever resumed us; this context is never re-entered.
     TSAN_FIBER_SWITCH(tsanReturn);
-#if defined(SHRIMP_UCONTEXT_FIBERS)
-    swapcontext(&fiberCtx, &schedulerCtx);
-#else
     // Final exit: a null fake-stack slot tells ASan to retire this
     // fiber's fake stack instead of parking it.
     ASAN_START_SWITCH(nullptr, retStackBottom, retStackSize);
     shrimp_fctx_jump(retCtx, this);
-#endif
     panic("finished fiber resumed");
 }
 
@@ -153,79 +149,9 @@ Fiber::measureSwitchNs()
 }
 
 // ----------------------------------------------------------------------
-// Fiber — ucontext fallback (SHRIMP_UCONTEXT_FIBERS)
+// Fiber — construction and first entry (sim/fcontext.hh)
 // ----------------------------------------------------------------------
 
-#if defined(SHRIMP_UCONTEXT_FIBERS)
-
-Fiber::Fiber(FiberBody body, std::size_t stack_bytes)
-    : body(std::move(body)), stack(stack_bytes)
-{
-    if (getcontext(&fiberCtx) != 0)
-        panic("getcontext failed");
-    fiberCtx.uc_stack.ss_sp = stack.data();
-    fiberCtx.uc_stack.ss_size = stack.size();
-    fiberCtx.uc_link = nullptr;
-
-    // makecontext only passes ints, so split the pointer into two.
-    auto self = std::uintptr_t(this);
-    unsigned hi = unsigned(self >> 32);
-    unsigned lo = unsigned(self & 0xffffffffu);
-    makecontext(&fiberCtx, reinterpret_cast<void (*)()>(trampoline),
-                2, hi, lo);
-    tsanFiber = TSAN_FIBER_CREATE();
-}
-
-Fiber::~Fiber()
-{
-    if (running)
-        panic("destroying a fiber that is still running");
-    if (tsanFiber)
-        TSAN_FIBER_DESTROY(tsanFiber);
-}
-
-void
-Fiber::trampoline(unsigned hi, unsigned lo)
-{
-    auto self = reinterpret_cast<Fiber *>(
-        (std::uintptr_t(hi) << 32) | std::uintptr_t(lo));
-    self->run();
-}
-
-void
-Fiber::resume()
-{
-    if (_finished)
-        panic("resuming a finished fiber");
-    if (currentFiber())
-        panic("resume must be called from the scheduler context");
-    setCurrentFiber(this);
-    running = true;
-    ++_switches;
-    tsanReturn = TSAN_FIBER_CURRENT();
-    TSAN_FIBER_SWITCH(tsanFiber);
-    swapcontext(&schedulerCtx, &fiberCtx);
-}
-
-void
-Fiber::yield()
-{
-    if (currentFiber() != this)
-        panic("yield called from outside the fiber");
-    setCurrentFiber(nullptr);
-    running = false;
-    ++_switches;
-    TSAN_FIBER_SWITCH(tsanReturn);
-    swapcontext(&fiberCtx, &schedulerCtx);
-    setCurrentFiber(this);
-    running = true;
-}
-
-// ----------------------------------------------------------------------
-// Fiber — assembly fast path (sim/fcontext.hh)
-// ----------------------------------------------------------------------
-
-#else // !SHRIMP_UCONTEXT_FIBERS
 
 Fiber::Fiber(FiberBody body, std::size_t stack_bytes)
     : body(std::move(body)), stack(stack_bytes)
@@ -260,8 +186,6 @@ Fiber::entry(void *from, void *arg)
     self->run();
 }
 
-// resume() and yield() are inlined in fiber.hh on this path.
-
-#endif // SHRIMP_UCONTEXT_FIBERS
+// resume() and yield() are inlined in fiber.hh.
 
 } // namespace shrimp

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "sim/simulation.hh"
@@ -13,29 +12,9 @@ namespace shrimp
 namespace
 {
 
-LogLevel
-levelFromEnv()
-{
-    const char *e = std::getenv("SHRIMP_LOG");
-    if (!e || !*e)
-        return LogLevel::Info;
-    if (std::strcmp(e, "quiet") == 0 || std::strcmp(e, "0") == 0)
-        return LogLevel::Quiet;
-    if (std::strcmp(e, "warn") == 0 || std::strcmp(e, "1") == 0)
-        return LogLevel::Warn;
-    if (std::strcmp(e, "info") == 0 || std::strcmp(e, "2") == 0)
-        return LogLevel::Info;
-    if (std::strcmp(e, "debug") == 0 || std::strcmp(e, "3") == 0)
-        return LogLevel::Debug;
-    std::fprintf(stderr,
-                 "warn: SHRIMP_LOG='%s' is not quiet|warn|info|debug; "
-                 "using info\n",
-                 e);
-    return LogLevel::Info;
-}
-
-// Resolved once; setLogLevel overrides.
-LogLevel g_level = levelFromEnv();
+// Entry points apply SHRIMP_LOG through setLogLevel
+// (core/run_config.hh).
+LogLevel g_level = LogLevel::Info;
 
 } // anonymous namespace
 

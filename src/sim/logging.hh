@@ -9,8 +9,8 @@
  * debug()  - diagnostic detail, off by default.
  *
  * warn/inform/debug are filtered by a process-wide log level, set
- * once from SHRIMP_LOG ("quiet", "warn", "info" (default), "debug",
- * or the matching 0-3) or programmatically via setLogLevel().
+ * via setLogLevel() (entry points apply SHRIMP_LOG: "quiet", "warn",
+ * "info" (default), "debug", or the matching 0-3).
  * panic/fatal always print — errors are never filtered.
  */
 
@@ -47,10 +47,10 @@ enum class LogLevel
     Debug = 3, //!< + debug()
 };
 
-/** The active log level (first call resolves SHRIMP_LOG). */
+/** The active log level (Info until setLogLevel). */
 LogLevel logLevel();
 
-/** Override the log level (wins over SHRIMP_LOG). */
+/** Set the log level (entry points apply SHRIMP_LOG through it). */
 void setLogLevel(LogLevel level);
 
 /** Report questionable-but-survivable behaviour (level >= Warn). */

@@ -136,25 +136,6 @@ close()
     detail::g_enabled = false;
 }
 
-void
-openFromEnv()
-{
-    if (detail::g_enabled)
-        return;
-    const char *path = std::getenv("SHRIMP_TRACE");
-    if (path && *path) {
-        open(path);
-        // Binaries that enable tracing via the environment (examples,
-        // benches) never call close() themselves; without the footer
-        // the file is not valid JSON.
-        static bool registered = false;
-        if (!registered) {
-            registered = true;
-            std::atexit([] { close(); });
-        }
-    }
-}
-
 int
 track(const std::string &name)
 {

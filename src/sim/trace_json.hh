@@ -46,12 +46,6 @@ void open(const std::string &path);
 void close();
 
 /**
- * Open a trace if the SHRIMP_TRACE environment variable names a file.
- * Called once by simulation startup paths; harmless to repeat.
- */
-void openFromEnv();
-
-/**
  * Get (or create) the track named @p name. Track ids are stable for
  * the lifetime of the process, so call sites may cache them even
  * across close()/open() cycles. A trace names a track (a thread_name

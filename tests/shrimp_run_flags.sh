@@ -1,12 +1,16 @@
 #!/bin/sh
-# shrimp_run must reject a malformed or out-of-range numeric flag
-# before running anything: exit status 2, with the flag named on
-# stderr. Usage: shrimp_run_flags.sh path/to/shrimp_run
+# shrimp_run must reject a malformed or out-of-range numeric flag, or
+# SHRIMP_* variable, before running anything: exit status 2, with the
+# flag or variable named on stderr. A flag beats the environment, and
+# an empty variable counts as unset.
+# Usage: shrimp_run_flags.sh path/to/shrimp_run
 #
 # Each call is a small radix run and is cut after 20 s, so a build
 # that accepts a bad value fails here instead of hanging.
 run=$1
 fail=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 expect_rejected() {
     flag=$1
@@ -62,5 +66,82 @@ timeout 20 "$run" --app radix-vmmc --keys 16384 --threads 2 \
     echo "FAIL: --threads is not reported as an unknown option"
     fail=1
 }
+
+
+# The environment is parsed as strictly as the flags.
+expect_env_rejected() {
+    var=$1
+    value=$2
+    err=$(env "$var=$value" timeout 20 "$run" --app radix-vmmc \
+        --keys 16384 2>&1 >/dev/null)
+    status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "FAIL: $var=$value: exit $status, want 2"
+        fail=1
+    elif ! printf '%s\n' "$err" | grep -q -- "$var"; then
+        echo "FAIL: $var=$value: stderr does not name it: $err"
+        fail=1
+    fi
+}
+for value in abc -0.1 1.5 nan; do
+    expect_env_rejected SHRIMP_FAULT_DROP_RATE "$value"
+done
+for value in abc -1 3s; do
+    expect_env_rejected SHRIMP_WATCHDOG_SECS "$value"
+done
+for value in abc -5 inf; do
+    expect_env_rejected SHRIMP_METRICS_INTERVAL_US "$value"
+done
+expect_env_rejected SHRIMP_FAULT_SEED -1
+expect_env_rejected SHRIMP_NIC myrinet
+expect_env_rejected SHRIMP_MESH banana
+expect_env_rejected SHRIMP_LIFECYCLE yes
+
+# A flag beats the environment, and the report's cli_fault_* params
+# describe the configuration that was simulated: with the variable
+# set against the flag, the run and its report match the flag alone.
+same_run() {
+    what=$1
+    shift
+    fault="--app radix-vmmc --procs 16 --keys 16384 --steps 1"
+    timeout 60 "$run" $fault "$@" --stats-json "$tmp/flag.json" \
+        >/dev/null 2>&1
+    timeout 60 env "$what" "$run" $fault "$@" \
+        --stats-json "$tmp/both.json" >/dev/null 2>&1
+    if ! cmp -s "$tmp/flag.json" "$tmp/both.json"; then
+        echo "FAIL: $what $*: the environment beat the flag"
+        fail=1
+    fi
+}
+same_run SHRIMP_FAULT_SEED=5 --fault-drop-rate 0.02 --fault-seed 7
+grep -q '"cli_fault_seed": "7"' "$tmp/both.json" || {
+    echo "FAIL: the report does not say cli_fault_seed 7"
+    fail=1
+}
+same_run SHRIMP_FAULT_DROP_RATE=0 --fault-drop-rate 0.02
+grep -q '"cli_fault_drop_rate": "0.02' "$tmp/both.json" || {
+    echo "FAIL: the report does not say cli_fault_drop_rate 0.02"
+    fail=1
+}
+grep -q '"mesh.drops": 0,' "$tmp/both.json" && {
+    echo "FAIL: --fault-drop-rate 0.02 dropped no packets"
+    fail=1
+}
+
+# An empty variable is unset: SHRIMP_METRICS= starts no sampler (its
+# events would show in the host block's deterministic event count).
+events() {
+    sed -n 's/.*"events": \([0-9]*\).*/\1/p' "$1"
+}
+ocean="--app ocean-nx --procs 4 --grid 34 --steps 1"
+SHRIMP_REPORT_HOST=1 timeout 20 "$run" $ocean \
+    --stats-json "$tmp/plain.json" >/dev/null 2>&1
+SHRIMP_REPORT_HOST=1 SHRIMP_METRICS= timeout 20 "$run" $ocean \
+    --stats-json "$tmp/empty.json" >/dev/null 2>&1
+if [ -z "$(events "$tmp/plain.json")" ] ||
+    [ "$(events "$tmp/plain.json")" != "$(events "$tmp/empty.json")" ]; then
+    echo "FAIL: SHRIMP_METRICS= changed the run's event count"
+    fail=1
+fi
 
 exit $fail

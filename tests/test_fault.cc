@@ -22,6 +22,7 @@
 #include "bench/bench_common.hh"
 #include "bench/sweep.hh"
 #include "core/cluster.hh"
+#include "core/run_config.hh"
 #include "core/vmmc.hh"
 #include "mesh/fault.hh"
 #include "mesh/network.hh"
@@ -128,7 +129,7 @@ TEST(FaultParsing, EnvOverlay)
     ::setenv("SHRIMP_FAULT_DROP_RATE", "0.125", 1);
     ::setenv("SHRIMP_FAULT_SEED", "99", 1);
     ::setenv("SHRIMP_FAULT_LINK_DOWN", "1:5:10,2:20:30", 1);
-    FaultParams p = faultParamsFromEnv(FaultParams());
+    FaultParams p = core::envRunConfig().cluster.network.fault;
     ::unsetenv("SHRIMP_FAULT_DROP_RATE");
     ::unsetenv("SHRIMP_FAULT_SEED");
     ::unsetenv("SHRIMP_FAULT_LINK_DOWN");
@@ -141,7 +142,7 @@ TEST(FaultParsing, EnvOverlay)
     EXPECT_TRUE(p.reliabilityEnabled());
 
     // No variables set: the base config passes through untouched.
-    FaultParams clean = faultParamsFromEnv(FaultParams());
+    FaultParams clean = core::envRunConfig().cluster.network.fault;
     EXPECT_FALSE(clean.reliabilityEnabled());
 }
 

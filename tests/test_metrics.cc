@@ -249,7 +249,7 @@ TEST(FlightRecorder, MetricsSinkIsByteIdenticalSerialVsParallel)
         std::vector<std::function<apps::AppResult()>> jobs_v;
         for (int p : {1, 2, 4}) {
             jobs_v.push_back([p] {
-                auto r = smallRadix(core::ClusterConfig(), p);
+                auto r = smallRadix(bench::benchCluster(), p);
                 bench::maybeEmitReport(r);
                 return r;
             });

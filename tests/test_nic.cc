@@ -9,8 +9,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/run_config.hh"
 #include "mesh/network.hh"
 #include "nic/modern_nic.hh"
 #include "nic/nic_kind.hh"
@@ -717,10 +719,15 @@ TEST(NicKind, ParseNamesAndCapsTable)
 
 TEST(NicKind, EnvOverride)
 {
+    std::string err;
+    core::RunConfig rc;
     ::setenv("SHRIMP_NIC", "modern", 1);
-    EXPECT_EQ(nicKindFromEnv(NicKind::Shrimp), NicKind::Modern);
+    ASSERT_TRUE(core::applyEnv(rc, err)) << err;
+    EXPECT_EQ(rc.cluster.nicKind, NicKind::Modern);
     ::unsetenv("SHRIMP_NIC");
-    EXPECT_EQ(nicKindFromEnv(NicKind::Baseline), NicKind::Baseline);
+    rc.cluster.nicKind = NicKind::Baseline;
+    ASSERT_TRUE(core::applyEnv(rc, err)) << err;
+    EXPECT_EQ(rc.cluster.nicKind, NicKind::Baseline);
 }
 
 // ---------------------------------------------------------------------

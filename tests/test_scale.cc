@@ -23,6 +23,7 @@
 #include "apps/ocean.hh"
 #include "apps/radix.hh"
 #include "core/cluster.hh"
+#include "core/run_config.hh"
 #include "mesh/network.hh"
 #include "mesh/topology.hh"
 #include "nic/nic_base.hh"
@@ -91,13 +92,11 @@ TEST(MeshEnv, ParseMeshRejectsJunk)
 TEST(MeshEnv, LayersOntoDefaultGeometryOnly)
 {
     ::setenv("SHRIMP_MESH", "8x8", 1);
-    int w = 4, h = 4;
-    core::meshFromEnv(w, h);
-    EXPECT_EQ(w, 8);
-    EXPECT_EQ(h, 8);
+    core::ClusterConfig cc = core::envRunConfig().cluster;
+    EXPECT_EQ(cc.meshWidth, 8);
+    EXPECT_EQ(cc.meshHeight, 8);
 
     // An explicit programmatic geometry survives the environment.
-    core::ClusterConfig cc;
     cc.meshWidth = 2;
     cc.meshHeight = 4;
     core::Cluster c(cc);
@@ -105,18 +104,15 @@ TEST(MeshEnv, LayersOntoDefaultGeometryOnly)
     EXPECT_EQ(c.config().meshHeight, 4);
     ::unsetenv("SHRIMP_MESH");
 
-    w = 4;
-    h = 4;
-    core::meshFromEnv(w, h);
-    EXPECT_EQ(w, 4);
-    EXPECT_EQ(h, 4);
+    cc = core::envRunConfig().cluster;
+    EXPECT_EQ(cc.meshWidth, 4);
+    EXPECT_EQ(cc.meshHeight, 4);
 }
 
 TEST(MeshEnvDeathTest, MalformedEnvIsFatal)
 {
     ::setenv("SHRIMP_MESH", "banana", 1);
-    int w = 4, h = 4;
-    EXPECT_DEATH(core::meshFromEnv(w, h), "not a valid");
+    EXPECT_DEATH(core::envRunConfig(), "not a valid");
     ::unsetenv("SHRIMP_MESH");
 }
 

@@ -13,18 +13,15 @@
  * sends (--no-udma), forced per-message interrupts, combining, FIFO
  * capacity, DU queue depth, and the baseline Myrinet-style NIC.
  * Observability: --stats-json writes the machine-readable RunReport,
- * --trace records a Chrome trace_event timeline (see README).
+ * --trace records a Chrome trace_event timeline (see README). The
+ * flags and their SHRIMP_* twins are rows of one knob table
+ * (core/run_config.hh), which also generates --help.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <limits>
 #include <string>
 
 #include "apps/barnes.hh"
@@ -32,7 +29,7 @@
 #include "apps/ocean.hh"
 #include "apps/radix.hh"
 #include "apps/render.hh"
-#include "mesh/topology.hh"
+#include "core/run_config.hh"
 #include "nic/nic_kind.hh"
 #include "sim/causal.hh"
 #include "sim/logging.hh"
@@ -54,299 +51,15 @@ constexpr const char *kApps[] = {
 [[noreturn]] void
 usage(const char *argv0)
 {
-    std::printf(
-        "usage: %s --app <name> [options]\n"
-        "\n"
-        "apps: radix-svm radix-vmmc ocean-svm ocean-nx barnes-svm\n"
-        "      barnes-nx dfs render   (--list-apps prints one per line)\n"
-        "\n"
-        "workload options:\n"
-        "  --procs N          processors (default 16)\n"
-        "  --protocol P       SVM protocol: hlrc | hlrc-au | aurc\n"
-        "  --au / --du        update variant (VMMC/NX/sockets apps)\n"
-        "  --keys N           radix keys (default 262144)\n"
-        "  --grid N           ocean grid edge (default 130)\n"
-        "  --bodies N         barnes bodies (default 4096)\n"
-        "  --steps N          iterations/timesteps\n"
-        "  --seed N           workload seed\n"
-        "\n"
-        "what-if knobs (Sec 4 + the modern design point):\n"
-        "  --mesh WxH         mesh geometry (default 4x4; the paper's\n"
-        "                     Paragon; try 16x16 or 32x32 — the\n"
-        "                     SHRIMP_MESH environment variable sets\n"
-        "                     the same knob)\n"
-        "  --nic KIND         shrimp (default) | baseline (Myrinet-\n"
-        "                     style) | modern (RDMA-style: doorbells,\n"
-        "                     completion queues, notifiable writes)\n"
-        "  --no-udma          system call before every send (Table 2)\n"
-        "  --interrupt-per-message   forced interrupts (Table 4)\n"
-        "  --no-combining     disable AU combining (Sec 4.5.1)\n"
-        "  --fifo BYTES       outgoing FIFO capacity (Sec 4.5.2)\n"
-        "  --du-queue N       DU request queue depth (Sec 4.5.3)\n"
-        "\n"
-        "fault injection (deterministic; any of these enables the\n"
-        "link-level retransmission protocol in the NICs):\n"
-        "  --fault-drop-rate P       per-link-crossing drop probability\n"
-        "  --fault-corrupt-rate P    per-crossing corruption probability\n"
-        "  --fault-jitter-rate P     per-crossing extra-delay probability\n"
-        "  --fault-max-jitter NS     max extra delay, nanoseconds\n"
-        "  --fault-seed N            fault-plane RNG seed (default 1)\n"
-        "  --fault-link-down L:T0:T1 link L dead from T0 to T1 (us);\n"
-        "                            repeatable\n"
-        "  --fault-reliability       run the protocol with no faults\n"
-        "  (SHRIMP_FAULT_* environment variables set the same knobs)\n"
-        "\n"
-        "observability:\n"
-        "  --stats-json FILE  write the JSON run report to FILE\n"
-        "  --trace FILE       record a Chrome trace_event timeline\n"
-        "  --metrics FILE     record the flight-recorder time series\n"
-        "                     (.csv extension selects CSV, else JSONL)\n"
-        "  --metrics-interval-us N   sampling cadence (default 10)\n"
-        "  --lifecycle        per-packet latency attribution; adds the\n"
-        "                     latency_breakdown block to the report\n"
-        "  --causal FILE      record the causal trace (parent-linked\n"
-        "                     spans, JSONL); feed it to shrimp_analyze\n"
-        "                     --critical-path (SHRIMP_CAUSAL sets the\n"
-        "                     same knob)\n"
-        "\n"
-        "host execution:\n"
-        "  --watchdog-secs N  soak watchdog: dump progress state to\n"
-        "                     stderr when simulated time stalls for N\n"
-        "                     real seconds (SIGUSR1 dumps on demand;\n"
-        "                     SHRIMP_WATCHDOG_SECS sets the same knob)\n"
-        "  --list-apps        print the app names and exit\n"
-        "",
-        argv0);
+    std::printf("usage: %s --app <name> [options]\n\napps:", argv0);
+    for (const char *name : kApps)
+        std::printf(" %s", name);
+    std::printf("\n\n%s", core::knobHelp().c_str());
     std::exit(2);
 }
 
-struct Options
-{
-    std::string app;
-    int procs = 16;
-    Protocol protocol = Protocol::AURC;
-    bool protocolGiven = false; //!< --protocol appeared explicitly
-    bool useAu = true;
-    bool auGiven = false; //!< --au/--du appeared on the command line
-    std::size_t keys = 262144;
-    int grid = 130;
-    int bodies = 4096;
-    int steps = -1;
-    std::uint64_t seed = 0;
-    std::string statsJson; //!< --stats-json destination, empty = off
-    std::string traceFile; //!< --trace destination, empty = off
-    std::string causalFile; //!< --causal destination, empty = off
-    std::string metricsFile; //!< --metrics destination, empty = off
-    bool meshGiven = false;    //!< --mesh appeared explicitly
-    core::ClusterConfig cluster;
-
-    /** The single command-line entry point. Exits on bad input. */
-    static Options parse(int argc, char **argv);
-};
-
-Options
-Options::parse(int argc, char **argv)
-{
-    Options o;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: %s needs an argument\n", argv[0],
-                         argv[i]);
-            usage(argv[0]);
-        }
-        return argv[++i];
-    };
-    // Real-valued flags parse as strictly: the whole argument must be
-    // a plain decimal number (no sign, hex, inf or nan) in [lo, hi].
-    auto needReal = [&](int &i, double lo, double hi) -> double {
-        const char *flag = argv[i];
-        const char *v = need(i);
-        char *end = nullptr;
-        errno = 0;
-        double x = std::strtod(v, &end);
-        bool plain = std::isdigit(static_cast<unsigned char>(*v)) ||
-                     *v == '.';
-        if (!plain || v[std::strspn(v, "0123456789.eE+-")] != '\0' ||
-            *end != '\0' || errno == ERANGE || !(x >= lo && x <= hi)) {
-            std::fprintf(stderr,
-                         "%s: %s wants a number in [%g, %g], got '%s'\n",
-                         argv[0], flag, lo, hi, v);
-            usage(argv[0]);
-        }
-        return x;
-    };
-    // Durations stop at one simulated hour, far inside a Tick.
-    constexpr double kHourUs = 3600e6;
-    // Integer flags parse strictly: the whole argument must be a
-    // decimal integer in [lo, hi], or the run stops here instead of
-    // dividing by a zero processor count downstream.
-    auto needInt = [&](int &i, long lo, long hi) -> int {
-        const char *flag = argv[i];
-        const char *v = need(i);
-        char *end = nullptr;
-        errno = 0;
-        long n = std::strtol(v, &end, 10);
-        if (end == v || *end != '\0' || errno == ERANGE || n < lo ||
-            n > hi) {
-            std::fprintf(stderr,
-                         "%s: %s wants an integer in [%ld, %ld], got "
-                         "'%s'\n",
-                         argv[0], flag, lo, hi, v);
-            usage(argv[0]);
-        }
-        return int(n);
-    };
-    // The same for the 64-bit flags; strtoull would wrap a sign, so
-    // the argument must start with a digit.
-    auto needU64 = [&](int &i, std::uint64_t lo,
-                       std::uint64_t hi) -> std::uint64_t {
-        const char *flag = argv[i];
-        const char *v = need(i);
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long n = std::strtoull(v, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(*v)) ||
-            *end != '\0' || errno == ERANGE || n < lo || n > hi) {
-            std::fprintf(stderr,
-                         "%s: %s wants an integer in [%llu, %llu], got "
-                         "'%s'\n",
-                         argv[0], flag, (unsigned long long)lo,
-                         (unsigned long long)hi, v);
-            usage(argv[0]);
-        }
-        return n;
-    };
-    constexpr long kIntMax = std::numeric_limits<int>::max();
-    constexpr std::uint64_t kU32Max =
-        std::numeric_limits<std::uint32_t>::max();
-    constexpr std::uint64_t kU64Max =
-        std::numeric_limits<std::uint64_t>::max();
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--app") {
-            o.app = need(i);
-        } else if (a == "--list-apps") {
-            for (const char *name : kApps)
-                std::printf("%s\n", name);
-            std::exit(0);
-        } else if (a == "--procs") {
-            o.procs = needInt(i, 1, mesh::kMaxMeshNodes);
-        } else if (a == "--protocol") {
-            o.protocolGiven = true;
-            std::string p = need(i);
-            if (p == "hlrc")
-                o.protocol = Protocol::HLRC;
-            else if (p == "hlrc-au")
-                o.protocol = Protocol::HLRC_AU;
-            else if (p == "aurc")
-                o.protocol = Protocol::AURC;
-            else {
-                std::fprintf(stderr, "%s: unknown protocol '%s'\n",
-                             argv[0], p.c_str());
-                usage(argv[0]);
-            }
-        } else if (a == "--au") {
-            o.useAu = true;
-            o.auGiven = true;
-        } else if (a == "--du") {
-            o.useAu = false;
-            o.auGiven = true;
-        } else if (a == "--keys") {
-            // Radix indexes keys with 32-bit positions.
-            o.keys = needU64(i, 1, kU32Max);
-        } else if (a == "--grid") {
-            o.grid = needInt(i, 1, kIntMax);
-        } else if (a == "--bodies") {
-            o.bodies = needInt(i, 1, kIntMax);
-        } else if (a == "--steps") {
-            o.steps = needInt(i, 1, kIntMax);
-        } else if (a == "--seed") {
-            o.seed = needU64(i, 0, kU64Max);
-        } else if (a == "--mesh") {
-            const char *spec = need(i);
-            if (!core::parseMesh(spec, o.cluster.meshWidth,
-                                 o.cluster.meshHeight)) {
-                std::fprintf(stderr,
-                             "%s: bad mesh spec '%s' (want WxH with "
-                             "at most %d nodes)\n",
-                             argv[0], spec, mesh::kMaxMeshNodes);
-                usage(argv[0]);
-            }
-            o.meshGiven = true;
-        } else if (a == "--nic") {
-            const char *n = need(i);
-            if (!nic::parseNicKind(n, o.cluster.nicKind)) {
-                std::fprintf(stderr,
-                             "%s: unknown nic '%s' (want "
-                             "shrimp|baseline|modern)\n",
-                             argv[0], n);
-                usage(argv[0]);
-            }
-        } else if (a == "--no-udma") {
-            o.cluster.udmaSends = false;
-        } else if (a == "--interrupt-per-message") {
-            o.cluster.shrimpNic.interruptPerMessage = true;
-        } else if (a == "--no-combining") {
-            o.cluster.shrimpNic.combiningEnabled = false;
-        } else if (a == "--fifo") {
-            o.cluster.shrimpNic.outFifoBytes =
-                std::uint32_t(needInt(i, 1, kIntMax));
-        } else if (a == "--du-queue") {
-            o.cluster.shrimpNic.duQueueDepth = needInt(i, 1, kIntMax);
-        } else if (a == "--fault-drop-rate") {
-            o.cluster.network.fault.dropRate = needReal(i, 0, 1);
-        } else if (a == "--fault-corrupt-rate") {
-            o.cluster.network.fault.corruptRate = needReal(i, 0, 1);
-        } else if (a == "--fault-jitter-rate") {
-            o.cluster.network.fault.jitterRate = needReal(i, 0, 1);
-        } else if (a == "--fault-max-jitter") {
-            o.cluster.network.fault.maxJitter =
-                nanoseconds(needReal(i, 0, kHourUs * 1e3));
-        } else if (a == "--fault-seed") {
-            o.cluster.network.fault.seed = needU64(i, 0, kU64Max);
-        } else if (a == "--fault-link-down") {
-            mesh::LinkOutage outage;
-            const char *spec = need(i);
-            if (!mesh::parseLinkOutage(spec, outage)) {
-                std::fprintf(stderr,
-                             "%s: bad outage spec '%s' (want "
-                             "LINK:T0us:T1us)\n",
-                             argv[0], spec);
-                usage(argv[0]);
-            }
-            o.cluster.network.fault.outages.push_back(outage);
-        } else if (a == "--fault-reliability") {
-            o.cluster.network.fault.forceReliability = true;
-        } else if (a == "--stats-json") {
-            o.statsJson = need(i);
-        } else if (a == "--trace") {
-            o.traceFile = need(i);
-        } else if (a == "--causal") {
-            o.causalFile = need(i);
-        } else if (a == "--metrics") {
-            o.metricsFile = need(i);
-        } else if (a == "--metrics-interval-us") {
-            o.cluster.metricsInterval =
-                microseconds(needReal(i, 0, kHourUs));
-        } else if (a == "--lifecycle") {
-            o.cluster.lifecycleTracing = true;
-        } else if (a == "--watchdog-secs") {
-            o.cluster.watchdogSecs = needInt(i, 0, kIntMax);
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0]);
-        }
-    }
-    if (o.app.empty()) {
-        std::fprintf(stderr, "%s: --app is required\n", argv[0]);
-        usage(argv[0]);
-    }
-    return o;
-}
-
 AppResult
-runApp(const Options &o)
+runApp(const core::RunConfig &o, Protocol protocol, bool use_au)
 {
     if (o.app == "radix-svm" || o.app == "radix-vmmc") {
         RadixConfig cfg;
@@ -356,8 +69,8 @@ runApp(const Options &o)
         if (o.seed)
             cfg.seed = o.seed;
         return o.app == "radix-svm"
-                   ? runRadixSvm(o.cluster, o.protocol, o.procs, cfg)
-                   : runRadixVmmc(o.cluster, o.useAu, o.procs, cfg);
+                   ? runRadixSvm(o.cluster, protocol, o.procs, cfg)
+                   : runRadixVmmc(o.cluster, use_au, o.procs, cfg);
     }
     if (o.app == "ocean-svm" || o.app == "ocean-nx") {
         OceanConfig cfg;
@@ -365,8 +78,8 @@ runApp(const Options &o)
         if (o.steps > 0)
             cfg.iterations = o.steps;
         return o.app == "ocean-svm"
-                   ? runOceanSvm(o.cluster, o.protocol, o.procs, cfg)
-                   : runOceanNx(o.cluster, o.useAu, o.procs, cfg);
+                   ? runOceanSvm(o.cluster, protocol, o.procs, cfg)
+                   : runOceanNx(o.cluster, use_au, o.procs, cfg);
     }
     if (o.app == "barnes-svm" || o.app == "barnes-nx") {
         BarnesConfig cfg;
@@ -375,19 +88,19 @@ runApp(const Options &o)
         if (o.seed)
             cfg.seed = o.seed;
         return o.app == "barnes-svm"
-                   ? runBarnesSvm(o.cluster, o.protocol, o.procs, cfg)
-                   : runBarnesNx(o.cluster, o.useAu, o.procs, cfg);
+                   ? runBarnesSvm(o.cluster, protocol, o.procs, cfg)
+                   : runBarnesNx(o.cluster, use_au, o.procs, cfg);
     }
     if (o.app == "dfs") {
         DfsConfig cfg;
-        cfg.useAutomaticUpdate = o.useAu;
+        cfg.useAutomaticUpdate = use_au;
         cfg.auCombining = o.cluster.shrimpNic.combiningEnabled;
         return runDfs(o.cluster, cfg);
     }
     if (o.app == "render") {
         RenderConfig cfg;
         cfg.workers = o.procs - 1;
-        cfg.useAutomaticUpdate = o.useAu;
+        cfg.useAutomaticUpdate = use_au;
         return runRender(o.cluster, cfg);
     }
     std::fprintf(stderr, "unknown app '%s' (try --list-apps)\n",
@@ -400,17 +113,27 @@ runApp(const Options &o)
 int
 main(int argc, char **argv)
 {
-    Options o = Options::parse(argc, argv);
+    // Flags beat the environment, which beats the defaults.
+    core::RunConfig o;
+    std::string err;
+    if (!core::applyEnv(o, err)) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+        return 2;
+    }
+    if (!core::applyFlags(o, argc, argv, err)) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+        usage(argv[0]);
+    }
+    if (o.listApps) {
+        for (const char *name : kApps)
+            std::printf("%s\n", name);
+        return 0;
+    }
+    if (o.app.empty()) {
+        std::fprintf(stderr, "%s: --app is required\n", argv[0]);
+        usage(argv[0]);
+    }
 
-    // Resolve the mesh geometry here rather than inside the Cluster:
-    // the processor-count validation and the report params must see
-    // the geometry the run will actually use. An explicit --mesh
-    // beats the environment, so drop the variable in that case (the
-    // Cluster would otherwise re-layer it over an explicit 4x4).
-    if (o.meshGiven)
-        ::unsetenv("SHRIMP_MESH");
-    else
-        core::meshFromEnv(o.cluster.meshWidth, o.cluster.meshHeight);
     int mesh_nodes = o.cluster.meshWidth * o.cluster.meshHeight;
     if (o.app != "dfs" && o.procs > mesh_nodes) {
         std::fprintf(stderr,
@@ -422,32 +145,22 @@ main(int argc, char **argv)
     }
 
     // DFS/render default to DU like the paper's runs; the flag must
-    // be given explicitly to force AU.
-    if ((o.app == "dfs" || o.app == "render") && !o.auGiven)
-        o.useAu = false;
+    // be given explicitly to force AU. Capability-adaptive defaults:
+    // on a NIC without automatic update, the AU-defaulting paths fall
+    // back to DU/HLRC unless forced explicitly (an explicit --au or
+    // AU protocol still fatals downstream with a capability
+    // diagnosis).
+    bool can_au = nic::nicKindCaps(o.cluster.nicKind).autoUpdate;
+    bool use_au = o.au.value_or(can_au && o.app != "dfs" &&
+                                o.app != "render");
+    Protocol protocol = o.protocol >= 0 ? Protocol(o.protocol)
+                        : can_au        ? Protocol::AURC
+                                        : Protocol::HLRC;
 
-    // Capability-adaptive defaults: on a NIC without automatic
-    // update, the AU-defaulting paths fall back to DU/HLRC unless
-    // forced explicitly (an explicit --au or AU protocol still fatals
-    // downstream with a capability diagnosis).
-    if (!nic::nicKindCaps(o.cluster.nicKind).autoUpdate) {
-        if (!o.auGiven)
-            o.useAu = false;
-        if (!o.protocolGiven)
-            o.protocol = Protocol::HLRC;
-    }
-
-    // --metrics alone implies the default sampling cadence.
-    if (!o.metricsFile.empty() && o.cluster.metricsInterval == 0)
-        o.cluster.metricsInterval = microseconds(10);
-
-    if (!o.traceFile.empty())
-        trace_json::open(o.traceFile);
-    if (!o.causalFile.empty())
-        causal::open(o.causalFile);
+    core::activate(o);
 
     auto t0 = std::chrono::steady_clock::now();
-    AppResult r = runApp(o);
+    AppResult r = runApp(o, protocol, use_au);
     r.hostWallSeconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -502,22 +215,7 @@ main(int argc, char **argv)
             r.param("cli_fault_seed", f.seed);
             r.param("cli_fault_outages", f.outages.size());
         }
-        RunReport rep = makeReport(r);
-        // Host-side timing is non-deterministic, so it rides in the
-        // report only on request — same gate the bench harness uses.
-        if (const char *e = std::getenv("SHRIMP_REPORT_HOST");
-            e && *e && std::strcmp(e, "0") != 0) {
-            rep.host.enabled = true;
-            rep.host.wallSeconds = r.hostWallSeconds;
-            rep.host.events = r.hostEvents;
-            rep.host.eventsPerSec =
-                r.hostWallSeconds > 0
-                    ? double(r.hostEvents) / r.hostWallSeconds
-                    : 0;
-            rep.host.fiberSwitches = r.hostFiberSwitches;
-            fillHostRusage(rep.host);
-        }
-        rep.writeFile(o.statsJson);
+        makeReport(r, o.reportHost).writeFile(o.statsJson);
         std::printf("report:         %s\n", o.statsJson.c_str());
     }
 
