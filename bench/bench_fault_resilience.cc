@@ -77,41 +77,51 @@ struct FaultApp
 
 /**
  * The sweep's application set. The three headline transfer paths (AU,
- * DU, NX) always run; SHRIMP_SCALE=full unlocks the whole Table-1
- * suite — every API (SVM, VMMC, NX, sockets) on the lossy backplane,
- * recorded per (app, rate) in the JSONL report when the sink is set.
+ * DU, NX) always run, AU only on an adapter that has it, and every
+ * row uses the configured NIC's best variant. SHRIMP_SCALE=full
+ * unlocks the whole Table-1 suite — every API (SVM, VMMC, NX,
+ * sockets) on the lossy backplane, recorded per (app, rate) in the
+ * JSONL report when the sink is set.
  */
 std::vector<FaultApp>
 faultApps()
 {
-    std::vector<FaultApp> fapps = {
-        {"Radix-VMMC-AU",
-         [](const core::ClusterConfig &cc) {
-             return runRadixVmmc(cc, /*au=*/true, 16, smallRadix());
-         }},
-        {"Radix-VMMC-DU",
-         [](const core::ClusterConfig &cc) {
-             return runRadixVmmc(cc, /*au=*/false, 16, smallRadix());
-         }},
-        {"Ocean-NX",
-         [](const core::ClusterConfig &cc) {
-             return runOceanNx(cc, /*au=*/true, 16, smallOcean());
-         }},
-    };
+    std::vector<FaultApp> fapps;
+    // The AU row needs an adapter that snoops the memory bus; the
+    // other rows take the configured NIC's best variant.
+    const core::ClusterConfig cc = benchCluster();
+    if (bestAu(cc)) {
+        fapps.push_back({"Radix-VMMC-AU", [](const core::ClusterConfig &cc) {
+                             return runRadixVmmc(cc, /*au=*/true, 16,
+                                                 smallRadix());
+                         }});
+    } else {
+        std::printf("note: Radix-VMMC-AU skipped: the %s NIC has no "
+                    "automatic update\n\n",
+                    nic::nicKindName(cc.nicKind));
+    }
+    fapps.push_back({"Radix-VMMC-DU", [](const core::ClusterConfig &cc) {
+                         return runRadixVmmc(cc, /*au=*/false, 16,
+                                             smallRadix());
+                     }});
+    fapps.push_back({"Ocean-NX", [](const core::ClusterConfig &cc) {
+                         return runOceanNx(cc, bestAu(cc), 16,
+                                           smallOcean());
+                     }});
     if (!fullScale())
         return fapps;
     fapps.push_back({"Radix-SVM", [](const core::ClusterConfig &cc) {
-                         return runRadixSvm(cc, svm::Protocol::AURC,
-                                            16, smallRadix());
+                         return runRadixSvm(cc, bestProtocol(cc), 16,
+                                            smallRadix());
                      }});
     fapps.push_back({"Ocean-SVM", [](const core::ClusterConfig &cc) {
-                         return runOceanSvm(cc, svm::Protocol::AURC,
-                                            16, smallOcean());
+                         return runOceanSvm(cc, bestProtocol(cc), 16,
+                                            smallOcean());
                      }});
     fapps.push_back({"Barnes-SVM",
                      [](const core::ClusterConfig &cc) {
-                         return runBarnesSvm(cc, svm::Protocol::AURC,
-                                             16, smallBarnes(2));
+                         return runBarnesSvm(cc, bestProtocol(cc), 16,
+                                             smallBarnes(2));
                      },
                      /*timingDependent=*/true});
     fapps.push_back({"Barnes-NX", [](const core::ClusterConfig &cc) {

@@ -3,7 +3,9 @@
  * Shared virtual memory on SHRIMP: the same grid relaxation run under
  * HLRC, HLRC-AU and AURC, printing the Fig.-4-style execution-time
  * breakdown (computation / communication / lock / barrier / overhead)
- * so the protocol differences are visible at a glance.
+ * so the protocol differences are visible at a glance. On an adapter
+ * without automatic update (SHRIMP_NIC=baseline or modern) only HLRC
+ * runs.
  *
  * Run: ./svm_matrix
  */
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/run_config.hh"
+#include "nic/nic_kind.hh"
 #include "svm/svm.hh"
 
 using namespace shrimp;
@@ -121,8 +124,13 @@ main()
                 "time(ms)", "comp%", "comm%", "lock%", "barrier%",
                 "overhead%", "checksum");
 
+    // HLRC-AU and AURC write through automatic-update bindings, which
+    // only an adapter that snoops the memory bus provides.
+    const bool au = nic::nicKindCaps(cc.nicKind).autoUpdate;
     for (Protocol p :
          {Protocol::HLRC, Protocol::HLRC_AU, Protocol::AURC}) {
+        if (p != Protocol::HLRC && !au)
+            continue;
         Outcome o = runOnce(cc, p);
         double total = double(o.combined.grandTotal());
         auto pct = [&](TimeCategory c) {
@@ -137,5 +145,9 @@ main()
                     pct(TimeCategory::Overhead),
                     (unsigned long long)o.checksum);
     }
+    if (!au)
+        std::printf("(HLRC-AU and AURC skipped: the %s NIC has no "
+                    "automatic update)\n",
+                    nic::nicKindName(cc.nicKind));
     return 0;
 }

@@ -1,8 +1,13 @@
 #include "sim/causal.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -82,6 +87,55 @@ currentSlots(std::uint64_t *&trace, std::uint64_t *&span)
     span = &tls_event_ctx.span;
 }
 
+/**
+ * Buffered log output: text and integers are copied into a reused
+ * buffer (integers via std::to_chars), which is written out with one
+ * fwrite whenever it fills.
+ */
+class LineWriter
+{
+  public:
+    explicit LineWriter(std::FILE *f) : file(f) {}
+
+    void
+    put(std::string_view s)
+    {
+        if (used + s.size() > kBytes) {
+            flush();
+            if (s.size() > kBytes) {
+                std::fwrite(s.data(), 1, s.size(), file);
+                return;
+            }
+        }
+        std::memcpy(buf.get() + used, s.data(), s.size());
+        used += s.size();
+    }
+
+    template <std::integral Int>
+    void
+    put(Int v)
+    {
+        if (used + kMaxDigits > kBytes)
+            flush();
+        char *at = buf.get() + used;
+        used += std::size_t(std::to_chars(at, at + kMaxDigits, v).ptr - at);
+    }
+
+    void
+    flush()
+    {
+        std::fwrite(buf.get(), 1, used, file);
+        used = 0;
+    }
+
+  private:
+    static constexpr std::size_t kBytes = 64 * 1024;
+    static constexpr std::size_t kMaxDigits = 20; //!< of a u64
+    std::FILE *file;
+    std::unique_ptr<char[]> buf{new char[kBytes]};
+    std::size_t used = 0;
+};
+
 } // anonymous namespace
 
 void
@@ -109,17 +163,26 @@ close()
               [](const Record &a, const Record &b) {
                   return a.id < b.id;
               });
-    std::fputs("{\"causal_schema\":1}\n", out);
+    LineWriter w{out};
+    w.put("{\"causal_schema\":1}\n");
     for (const Record &r : records) {
-        std::fprintf(
-            out,
-            "{\"id\":%llu,\"parent\":%llu,\"trace\":%llu,"
-            "\"node\":%d,\"name\":\"%s\",\"start_ps\":%llu,"
-            "\"end_ps\":%llu}\n",
-            (unsigned long long)r.id, (unsigned long long)r.parent,
-            (unsigned long long)r.trace, int(r.node), r.name,
-            (unsigned long long)r.start, (unsigned long long)r.end);
+        w.put("{\"id\":");
+        w.put(r.id);
+        w.put(",\"parent\":");
+        w.put(r.parent);
+        w.put(",\"trace\":");
+        w.put(r.trace);
+        w.put(",\"node\":");
+        w.put(r.node);
+        w.put(",\"name\":\"");
+        w.put(std::string_view(r.name));
+        w.put("\",\"start_ps\":");
+        w.put(r.start);
+        w.put(",\"end_ps\":");
+        w.put(r.end);
+        w.put("}\n");
     }
+    w.flush();
     records.clear();
     records.shrink_to_fit();
     std::fclose(out);

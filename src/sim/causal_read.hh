@@ -10,8 +10,11 @@
 #define SHRIMP_SIM_CAUSAL_READ_HH
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace shrimp::causal_read
@@ -24,40 +27,76 @@ struct Span
     std::uint64_t parent = 0; //!< 0 == trace root
     std::uint64_t trace = 0;  //!< root span id of the trace
     int node = -1;
-    std::string name;
+    std::string_view name; //!< into the owning Log's name table
     std::uint64_t startPs = 0;
     std::uint64_t endPs = 0;
 
     std::uint64_t durationPs() const { return endPs - startPs; }
-
-    /** The layer prefix: everything before the first '.'. */
-    std::string layer() const;
 };
 
-/** A loaded log plus its lookup indices. */
+/**
+ * A loaded log plus its lookup indices. Spans are ordered by id (the
+ * writer's order); their names point into the log's own name table,
+ * so a Log moves but never copies.
+ */
 struct Log
 {
     std::vector<Span> spans;
 
-    /** Span by id; nullptr when absent. */
+    Log() = default;
+    Log(Log &&) = default;
+    Log &operator=(Log &&) = default;
+    Log(const Log &) = delete;
+    Log &operator=(const Log &) = delete;
+
+    /** Span by id (binary search); nullptr when absent. */
     const Span *byId(std::uint64_t id) const;
 
-    /** Indices (into spans) of the children of @p id. */
-    const std::vector<std::size_t> &childrenOf(std::uint64_t id) const;
+    /** The parent of @p s (a span of this log); nullptr for a root
+     *  or when the parent is not in the log. */
+    const Span *parentOf(const Span &s) const;
 
-    /** Rebuild the id and children indices after mutating spans. */
+    /** Indices (into spans) of the children of @p id. */
+    std::span<const std::size_t> childrenOf(std::uint64_t id) const;
+
+    /**
+     * Sort spans by id (stably, so duplicates keep file order) if
+     * they are not already, and rebuild the parent and children
+     * indices. Call after mutating spans.
+     */
     void reindex();
 
   private:
-    std::unordered_map<std::uint64_t, std::size_t> idIndex;
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-        childIndex;
-    std::vector<std::size_t> noChildren;
+    friend bool load(const std::string &, Log &, std::string *);
+
+    /** The stable copy of @p name in this log's name table. */
+    std::string_view intern(std::string_view name);
+
+    /** Index of @p id in spans (spans.size() when absent), searched
+     *  from @p hint downwards first. */
+    std::size_t indexOf(std::uint64_t id, std::size_t hint) const;
+
+    /** Distinct span names. A deque never moves its elements, so
+     *  the views in spans stay valid as names are added. */
+    std::deque<std::string> names;
+    std::unordered_set<std::string_view> nameSet; //!< views of names
+    /** Index of spans[i]'s parent; spans.size() for a root or when
+     *  the parent is not in the log. */
+    std::vector<std::size_t> parentIdx;
+    /** Children of spans[i]: childIdx[childOff[i] .. childOff[i+1]). */
+    std::vector<std::size_t> childOff;
+    std::vector<std::size_t> childIdx;
 };
 
 /**
- * Load @p path (header line `{"causal_schema":1}` + one span per
- * line). @return success; on failure @p err (if non-null) explains.
+ * Load @p path: a header line `{"causal_schema":1}`, then one span
+ * per line. Each line must be one flat JSON object whose values are
+ * strings (without escapes) or integers, keys in any order; unknown
+ * keys are skipped.
+ * id, parent, trace, start_ps and end_ps are read as exact unsigned
+ * 64-bit integers, node as a signed int. The file is streamed in
+ * fixed-size chunks. @return success; on failure @p err (if non-null)
+ * explains as `path:line: reason`.
  */
 bool load(const std::string &path, Log &out, std::string *err);
 

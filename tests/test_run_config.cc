@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "core/run_config.hh"
 
 using namespace shrimp;
@@ -249,7 +251,9 @@ TEST(KnobLint, EveryKnobIsDocumented)
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof buf, p)) > 0)
         help.append(buf, n);
-    ::pclose(p);
+    int status = ::pclose(p);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "shrimp_run --help exited with status " << status;
     ASSERT_NE(help.find("usage:"), std::string::npos) << help;
 
     for (const Knob &k : knobs()) {

@@ -15,7 +15,8 @@
  *   - run identity (app, processors, elapsed, messages).
  *
  * Causal trace logs (`shrimp_run --causal` / SHRIMP_CAUSAL) are
- * sniffed the same way; --critical-path reconstructs the span DAG of
+ * recognised by their causal_schema header line and streamed straight
+ * into the causal reader; --critical-path reconstructs the span DAG of
  * one operation (--op picks it by name substring, default: the
  * longest coll.reduce span, else the longest trace root) and prints
  * an exact per-layer attribution of its interval, plus the aggregate
@@ -343,11 +344,33 @@ processCausal(const std::string &path, bool validate_only,
 // Per-file driver
 // ----------------------------------------------------------------------
 
+/**
+ * Whether the first nonempty line of @p path is a causal_schema
+ * header: causal logs go to the streaming reader without being read
+ * whole here.
+ */
+bool
+isCausalLog(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        JsonValue first;
+        return parseJson(line, first) && first.find("causal_schema");
+    }
+    return false;
+}
+
 /** Process one file; returns false on any parse/validation failure. */
 bool
 processFile(const std::string &path, bool validate_only,
             bool critical_path, const std::string &op)
 {
+    if (isCausalLog(path))
+        return processCausal(path, validate_only, critical_path, op);
+
     std::string text;
     if (!readFile(path, text)) {
         std::fprintf(stderr, "%s: cannot read\n", path.c_str());
@@ -359,11 +382,6 @@ processFile(const std::string &path, bool validate_only,
     JsonValue whole;
     if (parseJson(text, whole)) {
         std::string err;
-        // A header-only causal log (a run that emitted no spans) is a
-        // single JSON object too.
-        if (whole.find("causal_schema"))
-            return processCausal(path, validate_only, critical_path,
-                                 op);
         if (whole.find("metrics_schema")) {
             std::istringstream in(text);
             if (!validateMetricsJsonl(in, &err)) {
@@ -400,9 +418,6 @@ processFile(const std::string &path, bool validate_only,
         std::fprintf(stderr, "%s:1: %s\n", path.c_str(), err.c_str());
         return false;
     }
-
-    if (first.find("causal_schema"))
-        return processCausal(path, validate_only, critical_path, op);
 
     if (first.find("metrics_schema")) {
         std::istringstream in(text);

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -48,14 +49,15 @@ constexpr const char *kApps[] = {
     "barnes-svm", "barnes-nx", "dfs", "render",
 };
 
+/** Print the usage and the knob table on stdout; exit @p status. */
 [[noreturn]] void
-usage(const char *argv0)
+usage(const char *argv0, int status = 2)
 {
     std::printf("usage: %s --app <name> [options]\n\napps:", argv0);
     for (const char *name : kApps)
         std::printf(" %s", name);
     std::printf("\n\n%s", core::knobHelp().c_str());
-    std::exit(2);
+    std::exit(status);
 }
 
 AppResult
@@ -113,6 +115,10 @@ runApp(const core::RunConfig &o, Protocol protocol, bool use_au)
 int
 main(int argc, char **argv)
 {
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--help") == 0)
+            usage(argv[0], 0);
+
     // Flags beat the environment, which beats the defaults.
     core::RunConfig o;
     std::string err;
