@@ -91,10 +91,22 @@ main()
     shrimp::bench::banner("transfer bandwidth vs size",
                           "Sec 4.2 / 4.5.1 supporting data");
 
-    std::printf("%10s %14s %18s %20s\n", "bytes", "DU (MB/s)",
-                "AU+comb (MB/s)", "AU no-comb (MB/s)");
     const std::size_t sizes[] = {256,   1024,   4096,   16384,
                                  65536, 262144};
+    const ClusterConfig cc = bench::benchCluster();
+    if (!bench::bestAu(cc)) {
+        std::printf("%10s %14s\n", "bytes", "DU (MB/s)");
+        for (std::size_t s : sizes)
+            std::printf("%10zu %14.2f\n", s,
+                        measureBandwidth(false, true, s));
+        std::printf("\nnote: AU columns and ordering skipped: the %s NIC "
+                    "has no automatic update\n",
+                    nic::nicKindName(cc.nicKind));
+        return 0;
+    }
+
+    std::printf("%10s %14s %18s %20s\n", "bytes", "DU (MB/s)",
+                "AU+comb (MB/s)", "AU no-comb (MB/s)");
     bool order_ok = true;
     for (std::size_t s : sizes) {
         double du = measureBandwidth(false, true, s);

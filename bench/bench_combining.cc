@@ -51,6 +51,14 @@ main()
 {
     banner("automatic update combining", "Sec 4.5.1");
 
+    const core::ClusterConfig cc = benchCluster();
+    if (!bestAu(cc)) {
+        std::printf("note: skipped: every row runs on automatic update, "
+                    "which the %s NIC lacks\n",
+                    nic::nicKindName(cc.nicKind));
+        return 0;
+    }
+
     const char *sparse_apps[] = {"Radix-VMMC", "Ocean-SVM (AURC)",
                                  "Radix-SVM (AURC)"};
 

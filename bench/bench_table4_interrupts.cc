@@ -22,6 +22,15 @@ main()
 {
     banner("interrupt per message arrival", "Table 4 (Sec 4.4)");
 
+    // The forced interrupt is a parameter of the SHRIMP NIC only.
+    const core::ClusterConfig cc = benchCluster();
+    if (cc.nicKind != nic::NicKind::Shrimp) {
+        std::printf("note: skipped: this experiment needs the shrimp NIC; "
+                    "the %s NIC has no interrupt-per-message mode\n",
+                    nic::nicKindName(cc.nicKind));
+        return 0;
+    }
+
     struct PaperRow
     {
         const char *name;

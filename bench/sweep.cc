@@ -10,7 +10,6 @@
 #include "sim/causal.hh"
 #include "sim/logging.hh"
 #include "sim/run_report.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::bench
 {
@@ -143,14 +142,14 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
         tl_metrics_buffer = nullptr;
     };
 
-    // Both recorders are process-global and single-threaded. Open
-    // them from the environment here, before any worker exists, and
+    // The span recorder is process-global and single-threaded. Open
+    // it from the environment here, before any worker exists, and
     // keep a recording sweep on one worker.
     core::RunConfig env = core::startFromEnv();
     std::size_t workers = std::size_t(env.jobs);
     if (workers > count)
         workers = count;
-    if (trace_json::enabled() || causal::enabled())
+    if (causal::enabled())
         workers = 1;
 
     g_sweepsActive.fetch_add(1, std::memory_order_relaxed);

@@ -6,7 +6,6 @@
 #include "core/vmmc.hh"
 #include "sim/lifecycle.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::core
 {

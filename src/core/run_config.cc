@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "sim/causal.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::core
 {
@@ -221,12 +220,16 @@ const std::vector<Knob> kKnobs = {
     {"--no-udma", nullptr, nullptr, KnobSection::WhatIf,
      "system call before every send (Table 2)",
      [](RunConfig &c, Arg) { return assign(c.cluster.udmaSends, false); }},
+    // The next four set ShrimpNicParams, which only the SHRIMP NIC
+    // reads; applyFlags rejects them on any other NIC.
     {"--interrupt-per-message", nullptr, nullptr, KnobSection::WhatIf,
-     "forced interrupts (Table 4)", [](RunConfig &c, Arg) {
+     "forced interrupts (Table 4)", [](RunConfig &c, Arg a) {
+         c.shrimpNicFlag = a.name;
          return assign(c.cluster.shrimpNic.interruptPerMessage, true);
      }},
     {"--no-combining", nullptr, nullptr, KnobSection::WhatIf,
-     "disable AU combining (Sec 4.5.1)", [](RunConfig &c, Arg) {
+     "disable AU combining (Sec 4.5.1)", [](RunConfig &c, Arg a) {
+         c.shrimpNicFlag = a.name;
          return assign(c.cluster.shrimpNic.combiningEnabled, false);
      }},
     {"--fifo", nullptr, "BYTES", KnobSection::WhatIf,
@@ -234,10 +237,12 @@ const std::vector<Knob> kKnobs = {
          int n = 0;
          bool ok = a.integer(1, kIntMax, n);
          c.cluster.shrimpNic.outFifoBytes = std::uint32_t(n);
+         c.shrimpNicFlag = a.name;
          return ok;
      }},
     {"--du-queue", nullptr, "N", KnobSection::WhatIf,
      "DU request queue depth (Sec 4.5.3)", [](RunConfig &c, Arg a) {
+         c.shrimpNicFlag = a.name;
          return a.integer(1, kIntMax, c.cluster.shrimpNic.duQueueDepth);
      }},
 
@@ -285,7 +290,9 @@ const std::vector<Knob> kKnobs = {
     {"--stats-json", nullptr, "FILE", KnobSection::Observability,
      "write the JSON run report to FILE", setText<&RunConfig::statsJson>},
     {"--trace", "SHRIMP_TRACE", "FILE", KnobSection::Observability,
-     "record a Chrome trace_event timeline", setText<&RunConfig::traceFile>},
+     "write the causal spans as a Chrome\n"
+     "trace_event timeline (one track per node)",
+     setText<&RunConfig::traceFile>},
     {"--metrics", "SHRIMP_METRICS", "FILE", KnobSection::Observability,
      "record the flight-recorder time series\n"
      "(.csv extension selects CSV, else JSONL;\n"
@@ -419,6 +426,11 @@ applyFlags(RunConfig &rc, int argc, char **argv, std::string &err)
         if (!k->set(rc, {k->flag, v, &err}))
             return false;
     }
+    if (rc.shrimpNicFlag && rc.cluster.nicKind != nic::NicKind::Shrimp) {
+        err = strfmt("%s applies to the shrimp NIC only, not to the %s NIC",
+                     rc.shrimpNicFlag, nic::nicKindName(rc.cluster.nicKind));
+        return false;
+    }
     impliedDefaults(rc);
     return true;
 }
@@ -480,24 +492,15 @@ void
 activate(const RunConfig &rc)
 {
     setLogLevel(rc.logLevel);
-    bool opened = false;
-    if (!rc.traceFile.empty() && !trace_json::enabled()) {
-        trace_json::open(rc.traceFile);
-        opened = true;
-    }
-    if (!rc.causalFile.empty() && !causal::enabled()) {
-        causal::open(rc.causalFile);
-        opened = true;
-    }
-    // A program that opens a recorder here may never close it: the
-    // trace then lacks its footer and the causal log its records.
+    if ((rc.causalFile.empty() && rc.traceFile.empty()) || causal::enabled())
+        return;
+    causal::open(rc.causalFile, rc.traceFile);
+    // A program that opens the recorder here may never close it: its
+    // files would then stay empty.
     static bool registered = false;
-    if (opened && !registered) {
+    if (!registered) {
         registered = true;
-        std::atexit([] {
-            trace_json::close();
-            causal::close();
-        });
+        std::atexit([] { causal::close(); });
     }
 }
 

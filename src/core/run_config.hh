@@ -60,6 +60,8 @@ struct RunConfig
     int steps = -1;
     std::uint64_t seed = 0;
     bool listApps = false;
+    /** The last SHRIMP-NIC-only flag given (--fifo, ...), or null. */
+    const char *shrimpNicFlag = nullptr;
 };
 
 /** One value being parsed, with its strict parsers (run_config.cc). */
@@ -105,9 +107,11 @@ const std::vector<Knob> &knobs();
 bool applyEnv(RunConfig &rc, std::string &err);
 
 /**
- * Apply shrimp_run's command line (argv[1..]) to @p rc.
+ * Apply shrimp_run's command line (argv[1..]) to @p rc, after the
+ * environment.
  * @return false, with a message naming the flag in @p err, on an
- * unknown flag, a missing argument or a value its parser rejects.
+ * unknown flag, a missing argument, a value its parser rejects, or a
+ * SHRIMP-NIC-only flag when the NIC (flag or environment) is another.
  */
 bool applyFlags(RunConfig &rc, int argc, char **argv, std::string &err);
 
@@ -122,8 +126,8 @@ RunConfig envRunConfig();
 
 /**
  * Put @p rc's process-wide settings into effect: the log level, and
- * the Chrome trace and causal log it names (each opened unless
- * already open, and closed at exit).
+ * the span recorder writing the causal log and/or Chrome trace it
+ * names (opened unless already open, and closed at exit).
  */
 void activate(const RunConfig &rc);
 

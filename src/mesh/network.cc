@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::mesh
 {
@@ -14,7 +13,6 @@ Network::Network(Simulation &sim, int width, int height,
       receivers(topo.nodeCount()),
       linkBusyUntil(topo.linkCount(), 0),
       loopbackBusyUntil(topo.nodeCount(), 0),
-      linkTracks(topo.linkCount(), -1),
       routeRows(topo.nodeCount()),
       stPackets(sim.stats(), "mesh.packets"),
       stBytes(sim.stats(), "mesh.bytes"),
@@ -40,15 +38,6 @@ Network::Network(Simulation &sim, int width, int height,
               "mesh.dup_rx", "mesh.acks", "mesh.nacks"})
             stats.counter(c);
     }
-}
-
-int
-Network::linkTrack(int link)
-{
-    int &t = linkTracks[link];
-    if (t < 0)
-        t = trace_json::track(strfmt("mesh.link%d", link));
-    return t;
 }
 
 void
@@ -145,14 +134,12 @@ Network::send(Packet pkt)
         return;
     }
 
-    bool tracing = trace_json::enabled();
-
     // Head enters the backplane through the injection transceiver.
     Tick head = when + _params.transceiverLatency;
     auto [route_begin, route_end] = route(pkt.src, pkt.dst);
 
-    if (!injector && !tracing) {
-        // Fast path: with no fault plane and no tracing, the only
+    if (!injector) {
+        // Fast path: with no fault plane, the only
         // per-link work that matters is the busy-time bookkeeping.
         // If every link on the route is idle when the head arrives
         // (the common case for latency-bound traffic), the delivery
@@ -197,13 +184,6 @@ Network::send(Packet pkt)
                 stDrops.inc();
                 if (v.outage)
                     stOutageDrops.inc();
-                if (tracing)
-                    trace_json::instantEvent(
-                        linkTrack(link), v.outage ? "outage_drop"
-                                                  : "drop",
-                        strfmt("{\"src\":%u,\"dst\":%u,\"seq\":%llu}",
-                               pkt.src, pkt.dst,
-                               (unsigned long long)pkt.seq));
                 return;
             }
             if (v.corrupt) {
@@ -220,13 +200,6 @@ Network::send(Packet pkt)
             stLinkStalls.inc();
             accLinkStallPs.sample(double(start - head));
         }
-        if (tracing) {
-            // One hop span per link the packet's body streams through.
-            trace_json::completeEvent(
-                linkTrack(link), "hop", start, start + serialization,
-                strfmt("{\"src\":%u,\"dst\":%u,\"bytes\":%u}", pkt.src,
-                       pkt.dst, pkt.wireBytes));
-        }
         tail_at_last_link_start = start;
         head = start + _params.hopLatency;
     }
@@ -234,13 +207,6 @@ Network::send(Packet pkt)
     // Tail arrival: the last link streams the body after its start.
     Tick deliver = tail_at_last_link_start + _params.hopLatency +
                    serialization + _params.transceiverLatency;
-
-    if (tracing) {
-        trace_json::completeEvent(
-            trace_json::track("mesh"), "pkt", when, deliver,
-            strfmt("{\"src\":%u,\"dst\":%u,\"bytes\":%u}", pkt.src,
-                   pkt.dst, pkt.wireBytes));
-    }
 
     scheduleDelivery(std::move(pkt), deliver);
 }

@@ -144,9 +144,6 @@ class Network
     PacketPool &pool() { return _pool; }
 
   private:
-    /** Cached trace track id for @p link ("mesh.linkN"). */
-    int linkTrack(int link);
-
     /** One memoized route: a span into routeArena. */
     struct RouteRef
     {
@@ -163,7 +160,6 @@ class Network
     std::vector<Receiver> receivers;
     std::vector<Tick> linkBusyUntil;
     std::vector<Tick> loopbackBusyUntil;
-    std::vector<int> linkTracks;
 
     /**
      * Per-source route rows, allocated lazily (nullptr until the

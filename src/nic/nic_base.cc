@@ -5,7 +5,6 @@
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::nic
 {
@@ -133,14 +132,6 @@ NicBase::traceReceive(const PacketTrace &t, Tick rx_start, Tick rx_done)
 // ----------------------------------------------------------------------
 // Link-level reliability protocol (fault mode only)
 // ----------------------------------------------------------------------
-
-int
-NicBase::relTrack()
-{
-    if (_relTrack < 0)
-        _relTrack = trace_json::track(_node.name() + ".rel");
-    return _relTrack;
-}
 
 NicBase::RelChannel &
 NicBase::channelFor(NodeId dst)
@@ -394,7 +385,6 @@ NicBase::retransmit(RelChannel &ch, NodeId dst)
 {
     auto &sim = _node.simulation();
 
-    Tick oldest = ch.sentAt.front();
     ch.retxMaxSeq = std::max(ch.retxMaxSeq, ch.unacked.back()->seq);
     for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
         stRetransmits.inc();
@@ -410,13 +400,6 @@ NicBase::retransmit(RelChannel &ch, NodeId dst)
         mesh::Packet copy = *ch.unacked[i];
         _net.send(std::move(copy));
     }
-    if (trace_json::enabled())
-        trace_json::completeEvent(
-            relTrack(), "retx", oldest, sim.now(),
-            strfmt("{\"dst\":%u,\"packets\":%zu,\"first_seq\":%llu}",
-                   dst, ch.unacked.size(),
-                   (unsigned long long)ch.unacked.front()->seq));
-
     ch.rto.cancel();
     armRto(ch, dst);
 }

@@ -478,9 +478,6 @@ class NicBase
     void rtoFire(NodeId dst);
     void retransmit(RelChannel &ch, NodeId dst);
 
-    /** Cached trace track id ("<node>.rel"), fault mode only. */
-    int relTrack();
-
     /** Per-source arrival counts (arrivals()), grown on first use. */
     std::vector<std::uint64_t> arrivalCount;
 
@@ -488,7 +485,6 @@ class NicBase
     ReliabilityParams _rel;
     std::unordered_map<NodeId, RelChannel> channels;
     std::unordered_map<NodeId, RelReceiver> rxStreams;
-    int _relTrack = -1;
 
     // Interned protocol counters (lazy; see sim/stats.hh).
     CounterHandle stCorruptRx;

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::nic
 {
@@ -41,14 +40,6 @@ ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
       stBytesIn(sim.stats(), statPrefix + ".bytes_in")
 {
     sim.spawn(statPrefix + ".du_engine", [this] { duEngineBody(); });
-}
-
-int
-ShrimpNic::traceTrack()
-{
-    if (_traceTrack < 0)
-        _traceTrack = trace_json::track(statPrefix);
-    return _traceTrack;
 }
 
 void
@@ -90,9 +81,7 @@ ShrimpNic::post(const SendDesc &req)
         panic("deliberate update size %u invalid", req.bytes);
 
     // The two-instruction UDMA initiation sequence plus the library's
-    // protection bookkeeping. The span also covers any queue-full wait
-    // below, so the trace shows true per-send initiation cost.
-    trace_json::Span span(traceTrack(), "du_submit");
+    // protection bookkeeping.
     const Tick born = sim.now();
     cpu.compute(_params.udmaIssueCost);
     cpu.sync();
@@ -163,12 +152,6 @@ ShrimpNic::duEngineBody()
         Tick inj = std::max(sim.now(), chipBusyUntil) +
                    transferTime(wire, link_bw);
         chipBusyUntil = inj;
-
-        if (trace_json::enabled())
-            trace_json::completeEvent(
-                traceTrack(), "du_xfer", start, inj,
-                strfmt("{\"bytes\":%llu,\"dst\":%u}",
-                       (unsigned long long)bytes, dst));
 
         auto payload = std::make_shared<NicPayload>();
         payload->body = std::move(pkt);
@@ -315,10 +298,7 @@ ShrimpNic::flushTrain(AuTrain &train)
                       double(_params.outFifoBytes));
     if (_fifoFill > threshold && !fifoStalled) {
         fifoStalled = true;
-        fifoStallStart = sim.now();
         stFifoThresholdIrqs.inc();
-        if (trace_json::enabled())
-            trace_json::instantEvent(traceTrack(), "fifo_threshold_irq");
         _node.os().interrupt(_params.fifoInterruptCost);
     }
 
@@ -326,12 +306,6 @@ ShrimpNic::flushTrain(AuTrain &train)
                         chipBusyUntil) +
                transferTime(wire, link_bw);
     chipBusyUntil = inj;
-
-    if (trace_json::enabled())
-        trace_json::completeEvent(
-            traceTrack(), "au_train", sim.now(), inj,
-            strfmt("{\"packets\":%u,\"bytes\":%u}", train.packetCount,
-                   data_bytes));
 
     AuTrainPacket pkt;
     pkt.srcNode = nodeId();
@@ -381,9 +355,6 @@ ShrimpNic::fifoCredit(std::uint32_t wire_bytes)
                                 double(_params.outFifoBytes));
     if (fifoStalled && _fifoFill <= resume) {
         fifoStalled = false;
-        if (trace_json::enabled())
-            trace_json::completeEvent(traceTrack(), "fifo_stall",
-                                      fifoStallStart, sim.now());
         fifoWait.wakeAll(sim);
     }
 }
@@ -422,12 +393,6 @@ ShrimpNic::receive(const mesh::Packet &pkt)
     stBytesIn.inc(data_bytes);
     stEisaBusyPs.inc(done - start);
     traceReceive(payload->trace(), start, done);
-
-    if (trace_json::enabled())
-        trace_json::completeEvent(
-            traceTrack(), "rx", start, done,
-            strfmt("{\"packets\":%u,\"bytes\":%u,\"src\":%u}", packets,
-                   data_bytes, pkt.src));
 
     sim.schedule(done - sim.now(), [this, payload] {
         // Sends issued from inside the delivery chain (notification
@@ -489,11 +454,6 @@ ShrimpNic::finishDelivery(const Delivery &d, bool want_notify)
     // application once the handler has run.
     Delivery copy = d;
     copy.notify = want_notify;
-
-    if (want_notify && trace_json::enabled())
-        trace_json::instantEvent(
-            traceTrack(), "notify",
-            strfmt("{\"src\":%u,\"bytes\":%u}", d.srcNode, d.bytes));
 
     if (_params.interruptPerMessage && d.endOfMessage) {
         Tick handler_done =

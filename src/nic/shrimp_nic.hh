@@ -150,14 +150,9 @@ class ShrimpNic : public NicBase
     void receive(const mesh::Packet &pkt) override;
     void finishDelivery(const Delivery &d, bool want_notify);
 
-    /** Cached trace track id ("<node>.nic"). */
-    int traceTrack();
-
     Simulation &sim;
     ShrimpNicParams _params;
     std::string statPrefix;
-    int _traceTrack = -1;
-    Tick fifoStallStart = 0;
 
     // Interned per-NIC statistics (lazy; see sim/stats.hh).
     CounterHandle stDuTransfers;

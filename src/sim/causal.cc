@@ -12,7 +12,6 @@
 
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::causal
 {
@@ -37,7 +36,8 @@ struct Record
     Tick end;
 };
 
-std::FILE *out = nullptr;
+std::FILE *logOut = nullptr;    //!< the JSONL causal log, or null
+std::FILE *chromeOut = nullptr; //!< the Chrome trace_event file, or null
 
 /**
  * The record buffer and the per-node id counters (index node + 1,
@@ -49,9 +49,6 @@ std::vector<std::uint64_t> nodeCounter;
 
 /** Node-id ceiling for span ids: the mesh's (mesh::kMaxMeshNodes). */
 constexpr std::size_t kMaxNodes = 64 * 1024;
-
-/** Per-node Chrome-trace track ids. */
-std::vector<int> chromeTracks;
 
 /**
  * The thread's event-context slot: the carried context of the packet
@@ -136,34 +133,19 @@ class LineWriter
     std::size_t used = 0;
 };
 
-} // anonymous namespace
-
-void
-open(const std::string &path)
+std::FILE *
+openForWriting(const std::string &path)
 {
-    close();
-    out = std::fopen(path.c_str(), "w");
-    if (!out)
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
         fatal("causal: cannot open '%s' for writing", path.c_str());
-    records.clear();
-    nodeCounter.clear();
-    detail::g_enabled = true;
+    return f;
 }
 
 void
-close()
+writeLog(std::FILE *f)
 {
-    if (!out)
-        return;
-    detail::g_enabled = false;
-
-    // Ids are minted in deterministic per-node order; sorting by id
-    // makes the file independent of cross-node interleaving.
-    std::sort(records.begin(), records.end(),
-              [](const Record &a, const Record &b) {
-                  return a.id < b.id;
-              });
-    LineWriter w{out};
+    LineWriter w{f};
     w.put("{\"causal_schema\":1}\n");
     for (const Record &r : records) {
         w.put("{\"id\":");
@@ -183,10 +165,106 @@ close()
         w.put("}\n");
     }
     w.flush();
+}
+
+/** @p t in microseconds with all six picosecond digits: "12.000345". */
+void
+putMicros(LineWriter &w, Tick t)
+{
+    char frac[7] = {'.'};
+    Tick ps = t % kPsPerUs;
+    for (int i = 6; i > 0; --i, ps /= 10)
+        frac[i] = char('0' + ps % 10);
+    w.put(t / kPsPerUs);
+    w.put(std::string_view(frac, sizeof(frac)));
+}
+
+/**
+ * The Chrome trace_event document: each record as one complete ("X")
+ * event on its node's track, which is named just before its first
+ * event. Span names are identifier literals and need no escaping.
+ */
+void
+writeChrome(std::FILE *f)
+{
+    LineWriter w{f};
+    w.put("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+          "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
+          "\"args\":{\"name\":\"shrimp\"}}");
+    std::vector<bool> named;
+    for (const Record &r : records) {
+        std::size_t tid = std::size_t(r.node + 1);
+        if (named.size() <= tid)
+            named.resize(tid + 1, false);
+        if (!named[tid]) {
+            named[tid] = true;
+            w.put(",\n{\"ph\":\"M\",\"pid\":0,\"tid\":");
+            w.put(tid);
+            w.put(",\"name\":\"thread_name\",\"args\":{\"name\":"
+                  "\"causal.node");
+            w.put(r.node);
+            w.put("\"}}");
+        }
+        w.put(",\n{\"ph\":\"X\",\"pid\":0,\"tid\":");
+        w.put(tid);
+        w.put(",\"ts\":");
+        putMicros(w, r.start);
+        w.put(",\"dur\":");
+        putMicros(w, r.end - r.start);
+        w.put(",\"name\":\"");
+        w.put(std::string_view(r.name));
+        w.put("\",\"args\":{\"span\":");
+        w.put(r.id);
+        w.put(",\"parent\":");
+        w.put(r.parent);
+        w.put(",\"trace\":");
+        w.put(r.trace);
+        w.put("}}");
+    }
+    w.put("\n]}\n");
+    w.flush();
+}
+
+} // anonymous namespace
+
+void
+open(const std::string &log_path, const std::string &chrome_path)
+{
+    close();
+    if (!log_path.empty())
+        logOut = openForWriting(log_path);
+    if (!chrome_path.empty())
+        chromeOut = openForWriting(chrome_path);
+    records.clear();
+    nodeCounter.clear();
+    detail::g_enabled = logOut || chromeOut;
+}
+
+void
+close()
+{
+    if (!detail::g_enabled)
+        return;
+    detail::g_enabled = false;
+
+    // Ids are minted in deterministic per-node order; sorting by id
+    // makes both files independent of cross-node interleaving.
+    std::sort(records.begin(), records.end(),
+              [](const Record &a, const Record &b) {
+                  return a.id < b.id;
+              });
+    if (logOut) {
+        writeLog(logOut);
+        std::fclose(logOut);
+        logOut = nullptr;
+    }
+    if (chromeOut) {
+        writeChrome(chromeOut);
+        std::fclose(chromeOut);
+        chromeOut = nullptr;
+    }
     records.clear();
     records.shrink_to_fit();
-    std::fclose(out);
-    out = nullptr;
 }
 
 CauseCtx
@@ -228,23 +306,6 @@ emitSpan(std::uint64_t id, const CauseCtx &parent, int node,
     r.start = start;
     r.end = end;
     records.push_back(r);
-
-    // Mirror the span (with its causal links as args) into the Chrome
-    // trace when both recorders are on, one track per node.
-    if (trace_json::enabled()) {
-        std::size_t idx = std::size_t(node + 1);
-        if (chromeTracks.size() <= idx)
-            chromeTracks.resize(idx + 1, -1);
-        if (chromeTracks[idx] < 0)
-            chromeTracks[idx] =
-                trace_json::track(strfmt("causal.node%d", node));
-        trace_json::completeEvent(
-            chromeTracks[idx], name, start, end,
-            strfmt("{\"span\":%llu,\"parent\":%llu,\"trace\":%llu}",
-                   (unsigned long long)r.id,
-                   (unsigned long long)r.parent,
-                   (unsigned long long)r.trace));
-    }
 }
 
 void

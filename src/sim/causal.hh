@@ -29,9 +29,15 @@
  * thread-safe: the sweep runner runs a recording sweep on one worker.
  * `parent == 0` marks a trace root; `trace` is the root span's id.
  *
- * Enable with causal::open(path) (shrimp_run --causal FILE, or the
- * SHRIMP_CAUSAL environment variable) and finish with close().
- * tools/shrimp_analyze --critical-path consumes the log.
+ * The Chrome trace_event file (chrome://tracing, Perfetto) is a second
+ * serializer of the same sorted records: one "ph":"X" event per span,
+ * ts/dur in exact microseconds and args {span,parent,trace}, on one
+ * track per node ("causal.node<N>", tid N+1).
+ *
+ * This is the only span recorder. Enable it with causal::open(log,
+ * chrome) (shrimp_run --causal FILE and --trace FILE, or the
+ * SHRIMP_CAUSAL and SHRIMP_TRACE environment variables) and finish
+ * with close(). tools/shrimp_analyze --critical-path consumes the log.
  */
 
 #ifndef SHRIMP_SIM_CAUSAL_HH
@@ -73,10 +79,15 @@ struct CauseCtx
     bool valid() const { return span != 0; }
 };
 
-/** Open @p path and start recording. Replaces any open log. */
-void open(const std::string &path);
+/**
+ * Start recording into the causal log @p log_path and/or the Chrome
+ * trace @p chrome_path; an empty path writes no such file, and two
+ * empty paths record nothing. Replaces any open recorder.
+ */
+void open(const std::string &log_path,
+          const std::string &chrome_path = std::string());
 
-/** Sort, flush and close the log. Idempotent. */
+/** Sort the records, write every open file and close it. Idempotent. */
 void close();
 
 /**

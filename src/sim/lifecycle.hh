@@ -12,9 +12,10 @@
  * (NicBase::traceReceive) turns the six marks into stage durations.
  * With lifecycle tracing on they feed log-scale per-stage histograms
  * in the StatsRegistry, which RunReport picks up as the
- * "latency_breakdown" block (schema_version 3); with the causal log
- * open (sim/causal.hh) they become a "pkt.total" span with one child
- * span per pipeline stage.
+ * "latency_breakdown" block (schema_version 3); with the span
+ * recorder on (sim/causal.hh: the causal log, its Chrome trace view,
+ * or both) they become a "pkt.total" span with one child span per
+ * pipeline stage.
  *
  * Stage definitions (microseconds):
  *

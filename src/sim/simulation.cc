@@ -1,7 +1,6 @@
 #include "sim/simulation.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp
 {
@@ -100,7 +99,6 @@ Simulation::spawnImpl(std::string name, FiberBody body,
         new Process(*this, std::move(name), std::move(body), stack_bytes));
     Process *p = proc.get();
     processes.push_back(std::move(proc));
-    p->traceSpawnAt = now();
     p->state = Process::State::Suspended;
     p->resumeScheduled = true;
     queue.schedule(0, [this, p] {
@@ -131,21 +129,11 @@ Simulation::suspend()
         p->wakePending = false;
         return;
     }
-    if (trace_json::enabled())
-        p->traceSuspendAt = now();
     p->state = Process::State::Suspended;
     _current = nullptr;
     p->fiber.yield();
     _current = p;
     p->state = Process::State::Running;
-    if (trace_json::enabled() && p->traceSuspendAt != kTickNever &&
-        now() > p->traceSuspendAt) {
-        if (p->traceTrack < 0)
-            p->traceTrack = trace_json::track(p->_name);
-        trace_json::completeEvent(p->traceTrack, "blocked",
-                                  p->traceSuspendAt, now());
-    }
-    p->traceSuspendAt = kTickNever;
 }
 
 void
@@ -177,15 +165,8 @@ Simulation::resumeProcess(Process *p)
     p->fiber.resume();
     // The fiber either yielded (suspend updated the state already) or
     // finished.
-    if (p->fiber.finished()) {
+    if (p->fiber.finished())
         p->state = Process::State::Finished;
-        if (trace_json::enabled()) {
-            if (p->traceTrack < 0)
-                p->traceTrack = trace_json::track(p->_name);
-            trace_json::completeEvent(p->traceTrack, "proc",
-                                      p->traceSpawnAt, now());
-        }
-    }
     _current = nullptr;
 }
 

@@ -64,12 +64,6 @@ class Process
     State state = State::Created;
     bool wakePending = false;
     bool resumeScheduled = false;
-
-    // Tracing: spawn time, start of the current blocked interval, and
-    // the process's lazily created trace track.
-    Tick traceSpawnAt = 0;
-    Tick traceSuspendAt = kTickNever;
-    int traceTrack = -1;
 };
 
 /**

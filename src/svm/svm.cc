@@ -9,7 +9,6 @@
 
 #include "sim/causal.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::svm
 {
@@ -176,7 +175,6 @@ struct SvmRuntime::RankState
     // Debug: last blocking operation entered.
     const char *lastOp = "init";
     int lastArg = -1;
-    int traceTrack = -1; //!< cached "<node>.svm" trace track
     std::uint32_t handlerActive = 0; //!< kind being handled, 0 = idle
     std::uint64_t handlersRun = 0;
 };
@@ -533,16 +531,6 @@ SvmRuntime::writeStruct(int rank, void *caddr, const void *src,
     writeRange(rank, caddr, src, bytes);
 }
 
-int
-SvmRuntime::traceTrack(int rank)
-{
-    RankState &rs = *ranks[rank];
-    if (rs.traceTrack < 0)
-        rs.traceTrack =
-            trace_json::track(cluster.node(rank).name() + ".svm");
-    return rs.traceTrack;
-}
-
 void
 SvmRuntime::fetchPage(int rank, PageId page)
 {
@@ -566,7 +554,6 @@ SvmRuntime::fetchPage(int rank, PageId page)
     CtlHeader h{kPageReq, std::uint32_t(rank), page, stamp, 0, 0};
     sendCtl(rank, home, &h, sizeof(h));
 
-    Tick fetch_start = cluster.sim().now();
     if (useNotify) {
         // The stamp reply carries kNotifyFetch; stamps are sequential
         // with exactly one reply each, so the arrival counter equals
@@ -576,11 +563,6 @@ SvmRuntime::fetchPage(int rank, PageId page)
         volatile std::uint64_t *fs = &rs.ctl->fetchStamp;
         ep.waitUntil([fs, stamp] { return *fs >= stamp; });
     }
-
-    if (trace_json::enabled())
-        trace_json::completeEvent(
-            traceTrack(rank), "fetch", fetch_start,
-            cluster.sim().now(), strfmt("{\"page\":%u}", page));
 
     rs.pages[page].valid = true;
 }
@@ -594,7 +576,6 @@ SvmRuntime::makeTwin(int rank, PageId page)
         return;
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Overhead);
-    trace_json::Span span(traceTrack(rank), "twin");
     char *local = replicas[rank] +
                   std::size_t(page) * node::kPageBytes;
     ps.twin = std::make_unique<std::vector<char>>(
@@ -638,7 +619,6 @@ SvmRuntime::capturePendingDiff(int rank, PageId page)
 
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Overhead);
-    Tick diff_start = cluster.sim().now();
     char *local = replicas[rank] +
                   std::size_t(page) * node::kPageBytes;
     std::vector<char> blob = encodeDiff(ps.twin->data(), local);
@@ -646,11 +626,6 @@ SvmRuntime::capturePendingDiff(int rank, PageId page)
     cpu.compute(cfg.diffBaseCost);
     cpu.chargeCopy(2 * node::kPageBytes); // the scan reads both copies
     cpu.sync();
-
-    if (trace_json::enabled())
-        trace_json::completeEvent(
-            traceTrack(rank), "diff", diff_start, cluster.sim().now(),
-            strfmt("{\"page\":%u,\"bytes\":%zu}", page, blob.size()));
 
     ++rs.diffCount;
     rs.stDiffs.inc();
@@ -1116,7 +1091,6 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
     // Parented on the requesting packet's context (handleCtl runs
     // from the notification dispatcher under its EventCtxScope).
     causal::OpSpan span(rank, "svm.serve");
-    Tick handler_start = cluster.sim().now();
     cpu.compute(cfg.handlerCost);
     cpu.sync();
 
@@ -1204,11 +1178,6 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
     if (h.cursorAfter > rs.ctlProcessed[sender])
         rs.ctlProcessed[sender] = h.cursorAfter;
     rs.handlerActive = 0;
-
-    if (trace_json::enabled())
-        trace_json::completeEvent(
-            traceTrack(rank), "handler", handler_start,
-            cluster.sim().now(), strfmt("{\"kind\":%u}", h.kind));
 }
 
 } // namespace shrimp::svm

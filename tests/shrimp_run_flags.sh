@@ -97,6 +97,46 @@ expect_env_rejected SHRIMP_NIC myrinet
 expect_env_rejected SHRIMP_MESH banana
 expect_env_rejected SHRIMP_LIFECYCLE yes
 
+# The SHRIMP adapter's what-if flags set parameters no other NIC
+# reads: on another NIC, named by flag (before or after) or by the
+# environment, the run must stop and name both the flag and the NIC.
+# Usage: expect_nic_rejected NIC FLAG [ARG]
+expect_nic_rejected() {
+    nic=$1
+    flag=$2
+    shift
+    for how in before after env; do
+        case $how in
+          before) err=$(timeout 20 "$run" --app radix-vmmc --keys 16384 \
+              --nic "$nic" "$@" 2>&1 >/dev/null) ;;
+          after) err=$(timeout 20 "$run" --app radix-vmmc --keys 16384 \
+              "$@" --nic "$nic" 2>&1 >/dev/null) ;;
+          env) err=$(SHRIMP_NIC=$nic timeout 20 "$run" --app radix-vmmc \
+              --keys 16384 "$@" 2>&1 >/dev/null) ;;
+        esac
+        status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "FAIL: $* on $nic ($how): exit $status, want 2"
+            fail=1
+        elif ! printf '%s\n' "$err" | grep -q -- "$flag.*$nic"; then
+            echo "FAIL: $* on $nic ($how): stderr does not name the" \
+                "flag and the NIC: $err"
+            fail=1
+        fi
+    done
+}
+for nic in baseline modern; do
+    expect_nic_rejected "$nic" --interrupt-per-message
+    expect_nic_rejected "$nic" --no-combining
+    expect_nic_rejected "$nic" --fifo 1024
+    expect_nic_rejected "$nic" --du-queue 2
+done
+timeout 20 "$run" --app radix-vmmc --keys 16384 --nic shrimp --fifo 1024 \
+    --du-queue 2 --no-combining --interrupt-per-message >/dev/null 2>&1 || {
+    echo "FAIL: the SHRIMP NIC's what-if flags are rejected on it"
+    fail=1
+}
+
 # A flag beats the environment, and the report's cli_fault_* params
 # describe the configuration that was simulated: with the variable
 # set against the flag, the run and its report match the flag alone.

@@ -160,10 +160,11 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
 }
 
 /**
- * The causal log and the Chrome trace are process-global recorders
- * opened from the environment. A sweep with either one on must open
- * it before any job starts and run its jobs one at a time, so
- * SHRIMP_JOBS=4 writes the same valid file as SHRIMP_JOBS=1.
+ * The causal log and its Chrome trace view come from one
+ * process-global span recorder opened from the environment. A sweep
+ * with either file named must open it before any job starts and run
+ * its jobs one at a time, so SHRIMP_JOBS=4 writes the same valid file
+ * as SHRIMP_JOBS=1.
  */
 TEST(Sweep, RecordersAreByteIdenticalAcrossJobCounts)
 {

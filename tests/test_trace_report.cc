@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the observability layer: the Chrome trace_event recorder
- * (document validity, span nesting), the RunReport JSON serializer
+ * Tests for the observability layer: the Chrome trace_event view of
+ * the causal span recorder (document validity, one event per logged
+ * span, per-node tracks), the RunReport JSON serializer
  * (byte-stability across identical seeded runs), the Histogram
  * statistic, and the export/import teardown API (stale proxies fault,
  * RAII handles clean up).
@@ -20,8 +21,9 @@
 
 #include "apps/radix.hh"
 #include "core/vmmc.hh"
+#include "sim/causal.hh"
+#include "sim/causal_read.hh"
 #include "sim/run_report.hh"
-#include "sim/trace_json.hh"
 
 using namespace shrimp;
 using namespace shrimp::core;
@@ -193,57 +195,64 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-/** One parsed complete ("X") event. */
+/** One complete ("X") event, its numbers kept as written. */
 struct SpanEvent
 {
     int tid = -1;
-    double ts = 0;
-    double dur = 0;
-    std::string name;
+    std::string ts, dur, name, span, parent, trace;
 };
 
-double
-numberAfter(const std::string &line, const char *key)
-{
-    auto pos = line.find(key);
-    if (pos == std::string::npos)
-        return -1;
-    return std::atof(line.c_str() + pos + std::strlen(key));
-}
-
+/** The raw text of the value after @p key: up to ',', '}' or '"'. */
 std::string
-stringAfter(const std::string &line, const char *key)
+tokenAfter(const std::string &line, const char *key)
 {
     auto pos = line.find(key);
     if (pos == std::string::npos)
         return "";
     pos += std::strlen(key);
-    auto q = line.find('"', pos);
-    return line.substr(pos, q - pos);
+    return line.substr(pos, line.find_first_of(",}\"", pos) - pos);
 }
 
-/** Extract every ph:"X" event and the tid -> track-name metadata. */
+/**
+ * Extract every ph:"X" event and the tid -> track-name metadata,
+ * counting the thread_name records in @p namings.
+ */
 void
 parseTrace(const std::string &text, std::vector<SpanEvent> &spans,
-           std::map<int, std::string> &trackNames)
+           std::map<int, std::string> &trackNames, int &namings)
 {
     std::istringstream in(text);
     std::string line;
+    namings = 0;
     while (std::getline(in, line)) {
         if (line.find("\"ph\":\"M\"") != std::string::npos &&
             line.find("thread_name") != std::string::npos) {
-            int tid = int(numberAfter(line, "\"tid\":"));
-            trackNames[tid] =
-                stringAfter(line, "\"args\":{\"name\":\"");
+            ++namings;
+            trackNames[std::stoi(tokenAfter(line, "\"tid\":"))] =
+                tokenAfter(line, "\"args\":{\"name\":\"");
         } else if (line.find("\"ph\":\"X\"") != std::string::npos) {
             SpanEvent e;
-            e.tid = int(numberAfter(line, "\"tid\":"));
-            e.ts = numberAfter(line, "\"ts\":");
-            e.dur = numberAfter(line, "\"dur\":");
-            e.name = stringAfter(line, "\"name\":\"");
+            e.tid = std::stoi(tokenAfter(line, "\"tid\":"));
+            e.ts = tokenAfter(line, "\"ts\":");
+            e.dur = tokenAfter(line, "\"dur\":");
+            e.name = tokenAfter(line, "\"name\":\"");
+            e.span = tokenAfter(line, "\"span\":");
+            e.parent = tokenAfter(line, "\"parent\":");
+            e.trace = tokenAfter(line, "\"trace\":");
             spans.push_back(e);
         }
     }
+}
+
+/** Picoseconds as exact microseconds: 12000345 -> "12.000345". */
+std::string
+micros(std::uint64_t ps)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%llu.%06llu",
+                  (unsigned long long)(ps / 1000000),
+                  (unsigned long long)(ps % 1000000));
+    return buf;
 }
 
 char *
@@ -285,86 +294,76 @@ runTracedScenario()
 } // anonymous namespace
 
 // ----------------------------------------------------------------------
-// Trace recorder
+// Chrome trace: the causal recorder's second serializer
 // ----------------------------------------------------------------------
 
-TEST(TraceJson, DocumentParsesAndSpansNest)
+/**
+ * A run with both outputs: the Chrome file is one JSON document with
+ * exactly one X event per causal-log span, carrying the span's name,
+ * its times as exact microseconds and its links as args, on its
+ * node's track; each node used is named once.
+ */
+TEST(TraceJson, OneEventPerCausalSpan)
 {
+    const std::string log_path = "test_trace_report.causal.jsonl";
     const std::string path = "test_trace_report.trace.json";
-    trace_json::open(path);
+    causal::open(log_path, path);
     runTracedScenario();
-    trace_json::close();
+    causal::close();
 
     std::string text = slurp(path);
     ASSERT_FALSE(text.empty());
     EXPECT_TRUE(JsonChecker(text).document())
         << "trace is not a complete JSON document";
 
-    std::vector<SpanEvent> spans;
+    causal_read::Log log;
+    std::string err;
+    ASSERT_TRUE(causal_read::load(log_path, log, &err)) << err;
+    ASSERT_FALSE(log.spans.empty());
+
+    std::vector<SpanEvent> events;
     std::map<int, std::string> trackNames;
-    parseTrace(text, spans, trackNames);
-    ASSERT_FALSE(spans.empty());
+    int namings = 0;
+    parseTrace(text, events, trackNames, namings);
+    ASSERT_EQ(events.size(), log.spans.size());
 
-    // The scenario must have produced NIC, mesh, and process spans.
-    bool saw_du = false, saw_mesh = false, saw_proc = false,
-         saw_blocked = false;
-    for (const auto &e : spans) {
-        if (e.name == "du_xfer" || e.name == "du_submit")
-            saw_du = true;
-        if (e.name == "pkt")
-            saw_mesh = true;
-        if (e.name == "proc")
-            saw_proc = true;
-        if (e.name == "blocked")
-            saw_blocked = true;
+    std::map<std::string, const SpanEvent *> bySpan;
+    for (const SpanEvent &e : events)
+        EXPECT_TRUE(bySpan.emplace(e.span, &e).second)
+            << "span " << e.span << " has two events";
+    std::map<int, int> nodes;
+    for (const causal_read::Span &s : log.spans) {
+        auto it = bySpan.find(std::to_string(s.id));
+        ASSERT_NE(it, bySpan.end()) << "no event for span " << s.id;
+        const SpanEvent &e = *it->second;
+        EXPECT_EQ(e.name, s.name);
+        EXPECT_EQ(e.ts, micros(s.startPs));
+        EXPECT_EQ(e.dur, micros(s.durationPs()));
+        EXPECT_EQ(e.parent, std::to_string(s.parent));
+        EXPECT_EQ(e.trace, std::to_string(s.trace));
+        EXPECT_EQ(e.tid, s.node + 1);
+        nodes[s.node + 1] = s.node;
     }
-    EXPECT_TRUE(saw_du);
-    EXPECT_TRUE(saw_mesh);
-    EXPECT_TRUE(saw_proc);
-    EXPECT_TRUE(saw_blocked);
+    EXPECT_EQ(namings, int(nodes.size()));
+    for (auto [tid, node] : nodes)
+        EXPECT_EQ(trackNames[tid], "causal.node" + std::to_string(node));
 
-    // On per-process tracks spans nest by construction: the "proc"
-    // lifetime span contains every "blocked" interval of that fiber.
-    std::map<int, SpanEvent> procOf;
-    for (const auto &e : spans)
-        if (e.name == "proc")
-            procOf[e.tid] = e;
-    int checked = 0;
-    const double eps = 1e-6;
-    for (const auto &e : spans) {
-        if (e.name != "blocked")
-            continue;
-        // NIC engine fibers block too but never terminate, so they
-        // have no "proc" lifetime span; only check app processes.
-        auto it = procOf.find(e.tid);
-        if (it == procOf.end())
-            continue;
-        const SpanEvent &proc = it->second;
-        EXPECT_GE(e.ts + eps, proc.ts);
-        EXPECT_LE(e.ts + e.dur, proc.ts + proc.dur + eps);
-        ++checked;
-    }
-    EXPECT_GT(checked, 0);
-
+    std::remove(log_path.c_str());
     std::remove(path.c_str());
 }
 
 /**
- * A trace names only the tracks it uses, when it first uses them: a
- * second identical run in the same process writes the same file,
- * although the first run registered every track it touches and other
- * work in between registered one it never uses.
+ * The recorder keeps no state across runs: a second identical run in
+ * the same process writes the same Chrome file.
  */
 TEST(TraceJson, IdenticalRunsInOneProcessWriteIdenticalTraces)
 {
     const std::string path = "test_trace_report_twice.trace.json";
     std::string first, second;
     for (std::string *text : {&first, &second}) {
-        if (text == &second)
-            trace_json::track("TraceJson.registered_between_runs");
-        trace_json::open(path);
+        causal::open("", path);
         runTracedScenario();
-        trace_json::close();
+        causal::close();
         *text = slurp(path);
     }
     std::remove(path.c_str());
@@ -374,13 +373,28 @@ TEST(TraceJson, IdenticalRunsInOneProcessWriteIdenticalTraces)
         << first.size() << " vs " << second.size() << " bytes)";
 }
 
-TEST(TraceJson, DisabledRecorderEmitsNothing)
+/** A run that records no span still writes a valid, empty timeline. */
+TEST(TraceJson, RunWithoutSpansWritesValidJson)
 {
-    EXPECT_FALSE(trace_json::enabled());
-    // Must be safe (and free) to call without an open trace.
-    trace_json::completeEvent(trace_json::track("nowhere"), "x", 0, 1);
-    trace_json::instantEvent(trace_json::track("nowhere"), "y");
-    trace_json::counterEvent("z", 1.0);
+    const std::string path = "test_trace_report_empty.trace.json";
+    causal::open("", path);
+    {
+        Cluster c;
+        c.spawnOn(0, "idle", [&] { c.sim().delay(microseconds(5)); });
+        c.run();
+    }
+    causal::close();
+
+    std::string text = slurp(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(JsonChecker(text).document()) << text;
+    std::vector<SpanEvent> events;
+    std::map<int, std::string> trackNames;
+    int namings = 0;
+    parseTrace(text, events, trackNames, namings);
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(namings, 0);
+    EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
 }
 
 // ----------------------------------------------------------------------

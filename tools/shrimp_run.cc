@@ -13,9 +13,9 @@
  * sends (--no-udma), forced per-message interrupts, combining, FIFO
  * capacity, DU queue depth, and the baseline Myrinet-style NIC.
  * Observability: --stats-json writes the machine-readable RunReport,
- * --trace records a Chrome trace_event timeline (see README). The
- * flags and their SHRIMP_* twins are rows of one knob table
- * (core/run_config.hh), which also generates --help.
+ * --trace writes the causal spans as a Chrome trace_event timeline
+ * (see README). The flags and their SHRIMP_* twins are rows of one
+ * knob table (core/run_config.hh), which also generates --help.
  */
 
 #include <chrono>
@@ -35,7 +35,6 @@
 #include "sim/causal.hh"
 #include "sim/logging.hh"
 #include "sim/run_report.hh"
-#include "sim/trace_json.hh"
 
 using namespace shrimp;
 using namespace shrimp::apps;
@@ -171,7 +170,6 @@ main(int argc, char **argv)
                             std::chrono::steady_clock::now() - t0)
                             .count();
 
-    trace_json::close();
     causal::close();
 
     std::printf("app:            %s\n", r.name.c_str());
